@@ -18,16 +18,8 @@ import tempfile
 
 import numpy as np
 
-from .datafiles import load_profiles_dir
-from .energy import (
-    HOURS_PER_YEAR,
-    SYNTH_SHAPES,
-    load_profile_csv,
-    parse_nsrdb_csv,
-    profile_csv_header_kind,
-    profile_csv_text,
-    synth_profile,
-)
+from .datafiles import load_profiles_dir, load_site_csv
+from .energy import SYNTH_SHAPES, profile_csv_text, synth_profile
 from .errors import GraspError, ParseError, ValidationError
 from .experiment import metrics_csv_text, run_year, sweep_csv_text, sweep_k, sweep_load
 from .model import SCHEDULER_NAMES, ControllerConfig, load_config, load_topology
@@ -47,6 +39,10 @@ def _write_atomic(path, text):
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".grasp-", suffix=".tmp")
     try:
+        # mkstemp creates 0600; give the output the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -197,23 +193,10 @@ def cmd_scenario(args):
 
 
 def cmd_gen_energy(args):
-    _positive("--peak-wh", args.peak_wh)
-    profile = synth_profile(_seed_of(args), args.shape, args.peak_wh)
+    profile = synth_profile(args.shape, args.peak_wh)
     _write_atomic(args.out, profile_csv_text(profile))
     print("wrote %s (%d hours)" % (args.out, len(profile.wh)))
     return 0
-
-
-def _validate_energy_path(path, config):
-    if os.path.isdir(path):
-        profiles = load_profiles_dir(path, config)
-        return "%d profiles" % len(profiles)
-    kind = profile_csv_header_kind(path)
-    if kind == "profile":
-        load_profile_csv(path, site=os.path.basename(path))
-        return "profile, %d hours" % HOURS_PER_YEAR
-    parse_nsrdb_csv(path, temp_column=config.nsrdb_temp_column, ghi_column=config.nsrdb_ghi_column)
-    return "weather, %d hours" % HOURS_PER_YEAR
 
 
 def cmd_validate(args):
@@ -229,19 +212,20 @@ def cmd_validate(args):
             % (args.topology, len(topo.switch_names), len(topo.datacenters), len(topo.clients))
         )
     if args.energy:
-        detail = _validate_energy_path(args.energy, config)
+        if os.path.isdir(args.energy):
+            detail = "%d profiles" % len(load_profiles_dir(args.energy, config))
+        else:
+            profile = load_site_csv(args.energy, config)
+            detail = "site %s, %d hours" % (profile.site, len(profile.wh))
         print("OK %s (%s)" % (args.energy, detail))
     return 0
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="RNG seed, default $GRASP_SEED or 0")
-
     parser = _Parser(prog="grasp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", parents=[common], help="run one scheduler over hourly profiles")
+    p = sub.add_parser("run", help="run one scheduler over hourly profiles")
     p.add_argument("--energy-dir", required=True, help="directory of per-site hourly CSVs")
     p.add_argument("--topology", help="optional topology JSON, checked against profile count")
     p.add_argument("--config", help="controller config JSON")
@@ -252,7 +236,7 @@ def build_parser():
     p.add_argument("--out", help="write per-hour metrics CSV here")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("sweep", parents=[common], help="compare schedulers across k or load")
+    p = sub.add_parser("sweep", help="compare schedulers across k or load")
     p.add_argument("--mode", choices=("k", "load"), required=True)
     p.add_argument("--range", required=True, help="start:end:step, inclusive")
     p.add_argument("--energy-dir", required=True)
@@ -267,18 +251,19 @@ def build_parser():
     p.add_argument("--svg", help="also write a chart here")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("scenario", parents=[common], help="run a protocol-level scenario")
+    p = sub.add_parser("scenario", help="run a protocol-level scenario")
+    p.add_argument("--seed", type=int, default=None, help="controller RNG seed, default $GRASP_SEED or 0")
     p.add_argument("--scenario", required=True, help="scenario JSON path")
     p.add_argument("--trace-out", help="write event trace here")
     p.set_defaults(func=cmd_scenario)
 
-    p = sub.add_parser("gen-energy", parents=[common], help="write a synthetic profile CSV")
+    p = sub.add_parser("gen-energy", help="write a synthetic profile CSV")
     p.add_argument("--shape", choices=SYNTH_SHAPES, required=True)
     p.add_argument("--peak-wh", type=float, default=100.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_energy)
 
-    p = sub.add_parser("validate", parents=[common], help="check inputs without running")
+    p = sub.add_parser("validate", help="check inputs without running")
     p.add_argument("--topology")
     p.add_argument("--config")
     p.add_argument("--energy", help="profile/weather CSV or directory of them")

@@ -13,6 +13,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
+from .energy import valid_energy
 from .errors import AlreadyConnected, NoPath, UnknownSwitch
 from .model import (
     GREEN_ENERGY_PARAM,
@@ -302,8 +303,7 @@ class Controller:
             return ControllerResponse(dropped="bad_passcode")
         values = pkt.payload.get("values")
         if not isinstance(values, dict) or not all(
-            key in self.config.parameters and isinstance(val, (int, float))
-            for key, val in values.items()
+            key in self.config.parameters and valid_energy(val) for key, val in values.items()
         ):
             self._log(now, "ev=drop reason=bad_report dc=d%d" % rec.dc_id)
             return ControllerResponse(dropped="bad_report")

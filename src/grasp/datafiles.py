@@ -13,12 +13,24 @@ def data_path(*parts):
     return os.path.join(os.path.dirname(__file__), "data", *parts)
 
 
+def load_site_csv(path, config):
+    """Load one site CSV into a profile named after the file's stem.
+
+    A single `wh` column is a direct profile; anything else is weather run
+    through the configured panel model.
+    """
+    site = os.path.splitext(os.path.basename(path))[0]
+    if profile_csv_header_kind(path) == "profile":
+        return load_profile_csv(path, site=site)
+    weather = parse_nsrdb_csv(path, temp_column=config.nsrdb_temp_column, ghi_column=config.nsrdb_ghi_column)
+    return build_profile(weather, panel=config.panel, site=site)
+
+
 def load_profiles_dir(path, config=None):
     """Load every site CSV in a directory, sorted by file name.
 
-    Each file is either a direct profile (single `wh` column) or a
-    weather file run through the configured panel model; the two kinds
-    can be mixed.  The sorted file order defines the data-center order.
+    The two file kinds of `load_site_csv` can be mixed.  The sorted file
+    order defines the data-center order.
     """
     if config is None:
         config = ControllerConfig()
@@ -27,14 +39,4 @@ def load_profiles_dir(path, config=None):
     files = sorted(glob.glob(os.path.join(path, "*.csv")))
     if not files:
         raise ValidationError("energy_dir", f"no *.csv files in {path!r}")
-    profiles = []
-    for f in files:
-        site = os.path.splitext(os.path.basename(f))[0]
-        if profile_csv_header_kind(f) == "profile":
-            profiles.append(load_profile_csv(f, site=site))
-        else:
-            records = parse_nsrdb_csv(
-                f, temp_column=config.nsrdb_temp_column, ghi_column=config.nsrdb_ghi_column
-            )
-            profiles.append(build_profile(records, panel=config.panel, site=site))
-    return profiles
+    return [load_site_csv(f, config) for f in files]

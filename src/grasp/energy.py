@@ -8,6 +8,9 @@ directly.  Synthetic shapes cover tests and demos.
 
 import csv
 import math
+import numbers
+from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -19,18 +22,14 @@ HOURS_PER_YEAR = 8760
 SYNTH_SHAPES = ("zero", "constant", "sinusoid")
 
 
-class SolarRecord:
-    """One weather hour: index into the year, irradiance, air temperature."""
+def valid_energy(value):
+    """Whether `value` is a usable energy amount (Wh, or Wh/m^2 of GHI).
 
-    __slots__ = ("hour", "ghi_whm2", "dry_bulb_c")
-
-    def __init__(self, hour, ghi_whm2, dry_bulb_c):
-        self.hour = hour
-        self.ghi_whm2 = ghi_whm2
-        self.dry_bulb_c = dry_bulb_c
-
-    def __repr__(self):
-        return f"SolarRecord({self.hour}, ghi={self.ghi_whm2}, temp={self.dry_bulb_c})"
+    That is a real number, not a bool, finite and >= 0; elementwise for an array.
+    """
+    if isinstance(value, np.ndarray):
+        return np.isfinite(value) & (value >= 0)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value) and value >= 0
 
 
 class EnergyProfile:
@@ -40,7 +39,7 @@ class EnergyProfile:
         wh = np.asarray(wh, dtype=np.float64)
         if wh.shape != (HOURS_PER_YEAR,):
             raise ValidationError("wh", f"profile must have {HOURS_PER_YEAR} hours, got {wh.shape}")
-        if np.any(wh < 0) or not np.all(np.isfinite(wh)):
+        if not valid_energy(wh).all():
             raise ValidationError("wh", "profile values must be finite and non-negative")
         self.site = site
         self.wh = wh
@@ -50,100 +49,114 @@ class EnergyProfile:
 
 
 def pv_output(ghi_whm2, dry_bulb_c, panel=None):
-    """Energy (Wh) one panel produces in an hour of the given weather.
+    """Energy (Wh) one panel produces in each hour of the given weather.
 
-    Cell temperature is air temperature plus irradiance heating; output is
-    linearly derated per degree above the reference temperature and never
-    goes negative.
+    Takes scalars or equal-length arrays.  Cell temperature is air
+    temperature plus irradiance heating; output is linearly derated per
+    degree above the reference temperature and never goes negative.
     """
     if panel is None:
         panel = PanelConfig()
     cell_temp = dry_bulb_c + panel.irradiance_heating * ghi_whm2
     derate = 1.0 - panel.temp_coeff_per_c * (cell_temp - panel.reference_temp_c)
-    return max(0.0, ghi_whm2 * panel.area_m2 * panel.efficiency * derate)
+    wh = ghi_whm2 * panel.area_m2 * panel.efficiency * derate
+    return np.where(wh > 0.0, wh, 0.0)
+
+
+def _read_year(path, fields, exact=False):
+    """Read one year of named float columns from a CSV.
+
+    `fields` maps each field of the returned structured array to its
+    header name; with `exact` the header must be exactly those names.
+    Blank lines are skipped.  A row whose width differs from the header's
+    or whose field is non-numeric raises ParseError naming its line.
+    """
+    columns = list(fields.values())
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader, [])]
+        if any(c not in header for c in columns) or (exact and header != columns):
+            raise ParseError(f"{path}: expected columns {columns}, header has {header}")
+        rows = [row for row in reader if row]
+    getters = [itemgetter(header.index(c)) for c in columns]
+    table = np.empty(len(rows), dtype=[(field, np.float64) for field in fields])
+    try:
+        if any(len(row) != len(header) for row in rows):
+            raise ValueError
+        for field, get in zip(fields, getters):
+            table[field] = list(map(float, map(get, rows)))
+    except ValueError:
+        for n, row in enumerate(rows):  # find the row that failed
+            try:
+                if len(row) != len(header):
+                    raise ValueError
+                for get in getters:
+                    float(get(row))
+            except ValueError:
+                raise _row_error(path, n, f"expected {len(header)} numeric fields, got {row}") from None
+    if len(table) != HOURS_PER_YEAR:
+        raise ParseError(f"{path}: expected {HOURS_PER_YEAR} data rows, got {len(table)}")
+    return table
+
+
+def _row_error(path, n, problem):
+    """ParseError for the `n`-th data row, naming the file line it ends on."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        line = next(islice((reader.line_num for row in reader if row), n, None))
+    return ParseError(f"{path}:{line}: {problem}")
 
 
 def parse_nsrdb_csv(path, temp_column="dry_bulb_c", ghi_column="ghi_whm2"):
-    """Read one year of hourly weather rows from a CSV with named columns."""
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for column in (temp_column, ghi_column):
-            if column not in header:
-                raise ParseError(f"{path}: missing column {column!r} (header has {header})")
-        for i, row in enumerate(reader):
-            line = i + 2  # header is line 1
-            try:
-                ghi = float(row[ghi_column])
-                temp = float(row[temp_column])
-            except (TypeError, ValueError):
-                raise ParseError(f"{path}:{line}: non-numeric weather value") from None
-            if not (math.isfinite(ghi) and math.isfinite(temp)):
-                raise ParseError(f"{path}:{line}: non-finite weather value")
-            if ghi < 0:
-                raise ParseError(f"{path}:{line}: negative GHI {ghi}")
-            records.append(SolarRecord(hour=i, ghi_whm2=ghi, dry_bulb_c=temp))
-    if len(records) != HOURS_PER_YEAR:
-        raise ParseError(f"{path}: expected {HOURS_PER_YEAR} data rows, got {len(records)}")
-    return records
+    """Read one year of hourly weather from a CSV with named columns.
+
+    Returns a structured array with fields `ghi_whm2` and `dry_bulb_c`,
+    one row per hour.
+    """
+    weather = _read_year(path, {"ghi_whm2": ghi_column, "dry_bulb_c": temp_column})
+    ghi, temp = weather["ghi_whm2"], weather["dry_bulb_c"]
+    bad = ~(valid_energy(ghi) & np.isfinite(temp))
+    if bad.any():
+        n = int(bad.argmax())
+        finite = math.isfinite(ghi[n]) and math.isfinite(temp[n])
+        raise _row_error(path, n, f"negative GHI {float(ghi[n])}" if finite else "non-finite weather value")
+    return weather
 
 
-def build_profile(records, panel=None, site=""):
-    """Convert parsed weather records into an hourly energy profile."""
-    if len(records) != HOURS_PER_YEAR:
-        raise ValidationError("records", f"expected {HOURS_PER_YEAR} records, got {len(records)}")
-    wh = np.empty(HOURS_PER_YEAR, dtype=np.float64)
-    for rec in records:
-        wh[rec.hour] = pv_output(rec.ghi_whm2, rec.dry_bulb_c, panel)
-    return EnergyProfile(site=site, wh=wh)
+def build_profile(weather, panel=None, site=""):
+    """Convert parsed weather into an hourly energy profile."""
+    return EnergyProfile(site=site, wh=pv_output(weather["ghi_whm2"], weather["dry_bulb_c"], panel))
 
 
-def synth_profile(seed, shape, peak_wh):
+def synth_profile(shape, peak_wh):
     """Synthetic year profile.
 
     Shapes: `zero` (always 0), `constant` (always peak_wh), `sinusoid`
     (half-rectified daily sine, zero at 06:00/18:00, peak_wh at noon).
-    The bundled shapes are deterministic; `seed` is accepted so callers
-    can treat every generator as seeded.
     """
     if shape not in SYNTH_SHAPES:
         raise ValidationError("shape", f"must be one of {SYNTH_SHAPES}")
-    if peak_wh < 0:
-        raise ValidationError("peak_wh", "must be >= 0")
-    hours = np.arange(HOURS_PER_YEAR)
+    if not valid_energy(peak_wh):
+        raise ValidationError("peak_wh", "must be a finite number >= 0")
     if shape == "zero":
         wh = np.zeros(HOURS_PER_YEAR)
     elif shape == "constant":
         wh = np.full(HOURS_PER_YEAR, float(peak_wh))
     else:
-        hour_of_day = hours % 24
+        hour_of_day = np.arange(HOURS_PER_YEAR) % 24
         wh = peak_wh * np.maximum(0.0, np.sin(np.pi * (hour_of_day - 6) / 12.0))
     return EnergyProfile(site=f"synth_{shape}", wh=wh)
 
 
 def load_profile_csv(path, site=""):
     """Read a precomputed profile: header `wh`, 8760 numeric rows."""
-    values = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["wh"]:
-            raise ParseError(f"{path}: expected single-column header 'wh', got {header}")
-        for i, row in enumerate(reader):
-            line = i + 2
-            if len(row) != 1:
-                raise ParseError(f"{path}:{line}: expected one value per row")
-            try:
-                values.append(float(row[0]))
-            except ValueError:
-                raise ParseError(f"{path}:{line}: non-numeric value {row[0]!r}") from None
-    if len(values) != HOURS_PER_YEAR:
-        raise ParseError(f"{path}: expected {HOURS_PER_YEAR} data rows, got {len(values)}")
-    try:
-        return EnergyProfile(site=site, wh=values)
-    except ValidationError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    wh = _read_year(path, {"wh": "wh"}, exact=True)["wh"]
+    bad = ~valid_energy(wh)
+    if bad.any():
+        n = int(bad.argmax())
+        raise _row_error(path, n, f"profile value {float(wh[n])} is not finite and non-negative")
+    return EnergyProfile(site=site, wh=wh)
 
 
 def profile_csv_text(profile):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .controller import Controller, Packet, PacketIn, match_text
 from .energy import build_profile, load_profile_csv, parse_nsrdb_csv, synth_profile
-from .errors import ScriptError
+from .errors import ScriptError, ValidationError
 from .model import (
     CLIENT,
     DATACENTER,
@@ -113,11 +113,6 @@ class FlowTable:
             for r in self.rules
         ]
         return sorted(lines)
-
-
-def flow_lookup(table, packet, now):
-    """Match a packet against a table at a point in time (expiring first)."""
-    return table.lookup(packet, now)
 
 
 @dataclass
@@ -405,20 +400,21 @@ def _switch_node(topology, index):
     return NodeId(SWITCH, index)
 
 
-def _resolve_profile(spec, base_dir, config, seed):
+def _resolve_profile(spec, base_dir, config):
     if not isinstance(spec, dict):
         raise ScriptError(f"agent profile must be an object, got {spec!r}")
     if "weather_csv" in spec:
         path = os.path.join(base_dir, spec["weather_csv"])
-        records = parse_nsrdb_csv(
-            path, temp_column=config.nsrdb_temp_column, ghi_column=config.nsrdb_ghi_column
-        )
-        return build_profile(records, panel=config.panel, site=os.path.basename(path))
+        weather = parse_nsrdb_csv(path, temp_column=config.nsrdb_temp_column, ghi_column=config.nsrdb_ghi_column)
+        return build_profile(weather, panel=config.panel, site=os.path.basename(path))
     if "profile_csv" in spec:
         path = os.path.join(base_dir, spec["profile_csv"])
         return load_profile_csv(path, site=os.path.basename(path))
     if "shape" in spec:
-        return synth_profile(spec.get("seed", seed), spec["shape"], spec.get("peak_wh", 0.0))
+        try:
+            return synth_profile(spec["shape"], spec.get("peak_wh", 0.0))
+        except ValidationError as exc:
+            raise ScriptError(f"agent profile {spec!r}: {exc}") from None
     raise ScriptError(f"agent profile needs weather_csv, profile_csv or shape: {spec!r}")
 
 
@@ -426,7 +422,7 @@ def _hours_in_horizon(horizon):
     return int(horizon // SECONDS_PER_HOUR)
 
 
-def load_scenario(source, base_dir=None, seed=0):
+def load_scenario(source, base_dir=None):
     """Parse a scenario file (or dict) into topology, config and scripts."""
     if isinstance(source, (str, os.PathLike)):
         base_dir = os.path.dirname(os.path.abspath(source))
@@ -471,7 +467,7 @@ def load_scenario(source, base_dir=None, seed=0):
             AgentScript(
                 dc_name=name,
                 register_at=float(register_at),
-                profile=_resolve_profile(raw.get("profile", {"shape": "zero"}), base_dir, config, seed),
+                profile=_resolve_profile(raw.get("profile", {"shape": "zero"}), base_dir, config),
                 respond=bool(raw.get("respond", False)),
             )
         )
@@ -520,9 +516,7 @@ def load_scenario(source, base_dir=None, seed=0):
 
 def run_scenario(source, base_dir=None, seed=0):
     """Run one scenario end to end and summarize what the data plane did."""
-    topology, config, agents, flows, connects, snapshot_times, horizon = load_scenario(
-        source, base_dir=base_dir, seed=seed
-    )
+    topology, config, agents, flows, connects, snapshot_times, horizon = load_scenario(source, base_dir=base_dir)
     sim = Simulation(topology, config, seed=seed)
 
     # ticks go in first so same-instant ordering is: housekeeping, then

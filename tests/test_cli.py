@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -114,6 +115,27 @@ def test_validate_bundled_inputs(capsys):
     assert printed.count("OK ") == 3
 
 
+def test_validate_single_file_uses_the_run_loader(tmp_path, capsys):
+    site = data_path("sites", "02_watertown.csv")
+    assert run_cli("validate", "--energy", site) == 0
+    assert "OK %s (site 02_watertown, 8760 hours)" % site in capsys.readouterr().out
+    profile = tmp_path / "p.csv"
+    profile.write_text("wh\n" + "1\n" * 20 + "nan\n" + "1\n" * 8739)
+    assert run_cli("validate", "--energy", str(profile)) == 1
+    assert ":22:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+def test_outputs_honour_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        out = tmp_path / "p.csv"
+        assert run_cli("gen-energy", "--shape", "zero", "--out", str(out)) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 def test_validate_nothing_is_an_error():
     assert run_cli("validate") == 1
 
@@ -140,10 +162,24 @@ def test_usage_errors_exit_one():
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch):
+    scenario = data_path("scenario_geni_1h.json")
     monkeypatch.setenv("GRASP_SEED", "not-a-number")
-    assert run_cli("gen-energy", "--shape", "zero", "--out", str(tmp_path / "z.csv")) == 1
+    assert run_cli("scenario", "--scenario", scenario) == 1
     monkeypatch.setenv("GRASP_SEED", "11")
-    assert run_cli("gen-energy", "--shape", "zero", "--out", str(tmp_path / "z.csv")) == 0
+    assert run_cli("scenario", "--scenario", scenario, "--trace-out", str(tmp_path / "env.txt")) == 0
     monkeypatch.delenv("GRASP_SEED")
-    assert run_cli("scenario", "--seed", "3", "--scenario",
-                   data_path("scenario_geni_1h.json")) == 0
+    assert run_cli("scenario", "--seed", "11", "--scenario", scenario,
+                   "--trace-out", str(tmp_path / "flag.txt")) == 0
+    assert (tmp_path / "env.txt").read_bytes() == (tmp_path / "flag.txt").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--energy-dir", "x"],
+    ["sweep", "--mode", "k", "--range", "1:2:1", "--energy-dir", "x", "--out", "y"],
+    ["gen-energy", "--shape", "zero", "--out", "y"],
+    ["validate", "--energy", "x"],
+])
+def test_seed_only_on_scenario(argv):
+    with pytest.raises(SystemExit) as err:
+        run_cli(*argv, "--seed", "3")
+    assert err.value.code == 1

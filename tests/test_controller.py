@@ -194,10 +194,17 @@ def test_report_value_validation():
     controller = make(topo)
     passcode = register(controller, topo).packets[0].packet.payload["passcode"]
     att = topo.datacenters[0]
-    odd = report_packet(topo, att.node, passcode, {"water_usage": 3.0})
-    assert controller.on_packet_in(PacketIn(att.switch, att.port, odd)).dropped == "bad_report"
-    text = report_packet(topo, att.node, passcode, {"green_energy_wh": "lots"})
-    assert controller.on_packet_in(PacketIn(att.switch, att.port, text)).dropped == "bad_report"
+    good = report_packet(topo, att.node, passcode, {"green_energy_wh": 42.5})
+    controller.on_packet_in(PacketIn(att.switch, att.port, good))
+    bad_values = [{"water_usage": 3.0}, {"green_energy_wh": "lots"}] + [
+        {"green_energy_wh": v} for v in (float("nan"), float("inf"), -5.0, True)
+    ]
+    for values in bad_values:
+        bad = report_packet(topo, att.node, passcode, values)
+        assert controller.on_packet_in(PacketIn(att.switch, att.port, bad)).dropped == "bad_report", values
+    # a NaN accepted here would win every later argmax and draw every job
+    assert controller.sched.energy_wh.tolist() == [42.5]
+    assert controller.latest_report[0] == {"green_energy_wh": 42.5}
     assert controller.auth_failures == 0  # malformed values are not auth failures
 
 

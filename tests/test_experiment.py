@@ -20,7 +20,7 @@ def test_green_jobs_oracle():
 
 
 def const_profiles(*peaks):
-    return [synth_profile(0, "constant" if p else "zero", p) for p in peaks]
+    return [synth_profile("constant" if p else "zero", p) for p in peaks]
 
 
 def test_run_year_hand_trace():

@@ -225,7 +225,15 @@ def test_scenario_rejects(mutate):
     scen = tiny_scenario()
     mutate(scen)
     with pytest.raises(ScriptError):
-        load_scenario(scen, seed=0)
+        load_scenario(scen)
+
+
+@pytest.mark.parametrize("peak", ["x", -1.0, float("nan"), float("inf"), True, None])
+def test_scenario_rejects_bad_peak_wh(peak):
+    scen = tiny_scenario()
+    scen["agents"][0]["profile"] = {"shape": "constant", "peak_wh": peak}
+    with pytest.raises(ScriptError, match="peak_wh"):
+        load_scenario(scen)
 
 
 def test_scenario_packet_in_formula(geni_hour):
