@@ -72,11 +72,11 @@ def _positive(flag, value):
     return value
 
 
-def _load_run_config(args):
+def _load_run_config(args, scheduler=None):
     if args.k is not None:
         _positive("--k", args.k)
     config = load_config(args.config) if args.config else ControllerConfig()
-    return config.with_overrides(scheduler=args.scheduler, job_energy_wh=args.k)
+    return config.with_overrides(scheduler=scheduler, job_energy_wh=args.k)
 
 
 def _profiles_for(args, config):
@@ -93,7 +93,7 @@ def _profiles_for(args, config):
 
 
 def cmd_run(args):
-    config = _load_run_config(args)
+    config = _load_run_config(args, args.scheduler)
     _positive("--jobs-per-hour", args.jobs_per_hour)
     hours = args.hours
     if hours is not None:
@@ -138,7 +138,6 @@ def cmd_sweep(args):
     _positive("--jobs-per-hour", args.jobs_per_hour)
     if args.hours is not None:
         _positive("--hours", args.hours)
-    _positive("--threads", args.threads)
     values = _parse_range(args.range)
     profiles = _profiles_for(args, config)
     if args.mode == "k":
@@ -149,7 +148,6 @@ def cmd_sweep(args):
             values,
             jobs_per_hour=args.jobs_per_hour,
             hours=args.hours,
-            threads=args.threads,
         )
         xlabel = "k (energy per job, Wh)"
     else:
@@ -161,7 +159,6 @@ def cmd_sweep(args):
             loads,
             job_energy_wh=config.job_energy_wh,
             hours=args.hours,
-            threads=args.threads,
         )
         xlabel = "jobs per hour"
     _write_atomic(args.out, sweep_csv_text(rows))
@@ -242,11 +239,9 @@ def build_parser():
     p.add_argument("--energy-dir", required=True)
     p.add_argument("--topology")
     p.add_argument("--config")
-    p.add_argument("--scheduler", choices=SCHEDULER_NAMES, help=argparse.SUPPRESS)
     p.add_argument("--k", type=float, help="energy per job for load mode")
     p.add_argument("--jobs-per-hour", type=int, default=900, help="load for k mode")
     p.add_argument("--hours", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1, help="parallel sweep cells")
     p.add_argument("--out", required=True, help="summary CSV path")
     p.add_argument("--svg", help="also write a chart here")
     p.set_defaults(func=cmd_sweep)

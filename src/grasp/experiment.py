@@ -6,7 +6,6 @@ number of jobs, counts how many of them are covered by green energy, and
 the yearly figure of merit is the mean hourly green ratio.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,15 +14,6 @@ from . import _kernels
 from .energy import HOURS_PER_YEAR
 from .errors import ValidationError
 from .scheduler import SCHEDULERS
-
-
-@dataclass
-class HourlyMetrics:
-    hour: int
-    jobs: int
-    green_jobs: float
-    ratio: float
-    per_dc_load: np.ndarray
 
 
 @dataclass
@@ -38,19 +28,6 @@ class YearReport:
     ratio: np.ndarray  # (hours,) green_jobs / jobs, 1.0 when jobs == 0
     r_avg: float
 
-    @property
-    def hourly(self):
-        return [
-            HourlyMetrics(
-                hour=h,
-                jobs=self.jobs_per_hour,
-                green_jobs=float(self.green_jobs[h]),
-                ratio=float(self.ratio[h]),
-                per_dc_load=self.per_dc_load[h],
-            )
-            for h in range(self.hours)
-        ]
-
 
 def green_jobs(capacity_jobs, loads):
     """Jobs covered by green energy: sum of min(capacity, load) per DC."""
@@ -61,9 +38,10 @@ def run_year(profiles, scheduler="green_aware", job_energy_wh=1.0, jobs_per_hour
     """Replay one scheduler over hourly profiles and score every hour.
 
     The per-hour capacity of a data center is its energy divided by the
-    per-job energy.  Placements follow the named policy exactly as the
-    per-decision scheduler would make them, including tie-breaks; the
-    round-robin cursor carries over between hours.
+    per-job energy, which must stay finite and below `_kernels.LIMIT`
+    jobs.  Placements follow the named policy exactly as the per-decision
+    scheduler would make them, including tie-breaks; the round-robin
+    cursor carries over between hours.
     """
     if scheduler not in SCHEDULERS:
         raise ValidationError("scheduler", f"unknown scheduler {scheduler!r}")
@@ -71,8 +49,8 @@ def run_year(profiles, scheduler="green_aware", job_energy_wh=1.0, jobs_per_hour
         raise ValidationError("profiles", "need at least one site profile")
     if job_energy_wh <= 0:
         raise ValidationError("job_energy_wh", "must be > 0")
-    if jobs_per_hour < 0:
-        raise ValidationError("jobs_per_hour", "must be >= 0")
+    if not 0 <= jobs_per_hour < _kernels.LIMIT:
+        raise ValidationError("jobs_per_hour", "must be >= 0 and below 2**48")
     if hours is None:
         hours = HOURS_PER_YEAR
     if not 1 <= hours <= HOURS_PER_YEAR:
@@ -81,16 +59,15 @@ def run_year(profiles, scheduler="green_aware", job_energy_wh=1.0, jobs_per_hour
     m = len(profiles)
     jobs = int(jobs_per_hour)
     energy = np.stack([p.wh for p in profiles], axis=1)[:hours]
-    capacity = energy / job_energy_wh
+    with np.errstate(over="ignore"):
+        capacity = energy / job_energy_wh
+    if not (capacity < _kernels.LIMIT).all():
+        raise ValidationError("job_energy_wh", "energy / job_energy_wh must be finite and below 2**48 jobs")
 
-    loads = np.zeros((hours, m), dtype=np.int64)
     if scheduler == "green_aware":
-        for h in range(hours):
-            loads[h] = _kernels.greedy_hour(capacity[h], jobs)
+        loads = _kernels.greedy_hour(capacity, jobs)
     else:
-        cursor = 0
-        for h in range(hours):
-            loads[h], cursor = _kernels.round_robin_hour(m, cursor, jobs)
+        loads = _kernels.round_robin(hours, m, jobs)
 
     covered = np.minimum(capacity, loads).sum(axis=1)
     if jobs > 0:
@@ -110,37 +87,34 @@ def run_year(profiles, scheduler="green_aware", job_energy_wh=1.0, jobs_per_hour
     )
 
 
-def _sweep_cells(cells, threads):
+def _sweep_cells(cells):
     """Run (label, kwargs) cells, each as two run_year calls, in order."""
-
-    def one(cell):
-        label, kwargs = cell
-        green = run_year(scheduler="green_aware", **kwargs)
-        rr = run_year(scheduler="round_robin", **kwargs)
-        return (label, green.r_avg, rr.r_avg)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, cells))
-    return [one(c) for c in cells]
+    return [
+        (
+            label,
+            run_year(scheduler="green_aware", **kwargs).r_avg,
+            run_year(scheduler="round_robin", **kwargs).r_avg,
+        )
+        for label, kwargs in cells
+    ]
 
 
-def sweep_k(profiles, k_values, jobs_per_hour=900, hours=None, threads=1):
+def sweep_k(profiles, k_values, jobs_per_hour=900, hours=None):
     """r_avg of both schedulers for each per-job energy value."""
     cells = [
         (k, dict(profiles=profiles, job_energy_wh=k, jobs_per_hour=jobs_per_hour, hours=hours))
         for k in k_values
     ]
-    return _sweep_cells(cells, threads)
+    return _sweep_cells(cells)
 
 
-def sweep_load(profiles, load_values, job_energy_wh=1.0, hours=None, threads=1):
+def sweep_load(profiles, load_values, job_energy_wh=1.0, hours=None):
     """r_avg of both schedulers for each jobs-per-hour value."""
     cells = [
         (j, dict(profiles=profiles, job_energy_wh=job_energy_wh, jobs_per_hour=j, hours=hours))
         for j in load_values
     ]
-    return _sweep_cells(cells, threads)
+    return _sweep_cells(cells)
 
 
 def metrics_csv_text(reports):

@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 
-from grasp._kernels import warmup
 from grasp.cli import main as cli_main
 from grasp.datafiles import data_path
 from grasp.energy import synth_profile
@@ -28,7 +27,6 @@ def check(ok, label):
 
 def test_criterion_1_degenerate_round_robin():
     # with no energy anywhere, the greedy policy must split the load evenly
-    warmup()
     profiles = [synth_profile("zero", 0.0) for _ in range(9)]
     start = time.perf_counter()
     rep = run_year(profiles, "green_aware", 1.0, 900, hours=24)
@@ -42,7 +40,6 @@ def test_criterion_1_degenerate_round_robin():
 
 
 def test_criterion_2_dominance_and_gap_narrowing(site_profiles):
-    warmup()
     start = time.perf_counter()
     r = {
         (sched, k): run_year(site_profiles, sched, k, 900).r_avg
@@ -60,7 +57,6 @@ def test_criterion_2_dominance_and_gap_narrowing(site_profiles):
 
 
 def test_criterion_3_load_monotonicity(site_profiles):
-    warmup()
     loads = [100, 300, 500, 700, 900]
     start = time.perf_counter()
     curves = {
@@ -94,7 +90,6 @@ def brute_force_ng(caps, jobs):
 def test_criterion_4_greedy_matches_brute_force():
     from grasp._kernels import greedy_hour
 
-    warmup()
     rng = np.random.default_rng(2024)
     start = time.perf_counter()
     failures = 0
@@ -188,7 +183,6 @@ def test_criterion_7_idle_timeout_from_trace():
 
 
 def test_criterion_8_protocol_fast_cross_check(site_profiles):
-    warmup()
     scenario_path = data_path("scenario_geni_24h.json")
     results = {}
     for sched in ("green_aware", "round_robin"):

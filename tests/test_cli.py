@@ -70,13 +70,19 @@ def test_sweep_load_requires_integers(tmp_path):
     assert code == 1
 
 
-def test_sweep_threads_match_serial(tmp_path):
+def test_sweep_load_mode(tmp_path):
     args = ["sweep", "--mode", "load", "--range", "100:300:100", "--energy-dir",
             data_path("sites"), "--hours", "24"]
-    a, b = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-    assert run_cli(*args, "--out", str(a)) == 0
-    assert run_cli(*args, "--threads", "4", "--out", str(b)) == 0
-    assert a.read_bytes() == b.read_bytes()
+    out = tmp_path / "load.csv"
+    assert run_cli(*args, "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["100", "200", "300"]
+
+
+def test_run_rejects_overflowing_k(tmp_path, capsys):
+    code = run_cli("run", "--energy-dir", data_path("sites"), "--k", "1e-320", "--hours", "24")
+    assert code == 1
+    assert "job_energy_wh" in capsys.readouterr().err
 
 
 def test_scenario_command(tmp_path, capsys):
@@ -158,6 +164,11 @@ def test_usage_errors_exit_one():
     assert err.value.code == 1
     with pytest.raises(SystemExit) as err:
         run_cli("no-such-command")
+    assert err.value.code == 1
+    # a sweep always runs both schedulers
+    with pytest.raises(SystemExit) as err:
+        run_cli("sweep", "--mode", "k", "--range", "1:2:1", "--energy-dir", "x",
+                "--out", "y", "--scheduler", "round_robin")
     assert err.value.code == 1
 
 

@@ -57,6 +57,17 @@ def test_run_year_rejects():
         run_year(profiles, hours=0)
     with pytest.raises(ValidationError):
         run_year(profiles, hours=9000)
+    with pytest.raises(ValidationError):
+        run_year(profiles, jobs_per_hour=2**48)
+
+
+@pytest.mark.parametrize("k", [1e-320, 1e-300])
+def test_run_year_rejects_overflowing_capacity(k):
+    # 1 Wh / 1e-320 Wh is inf, 1 Wh / 1e-300 Wh far past 2**48 jobs
+    with pytest.raises(ValidationError, match="job_energy_wh"):
+        run_year(const_profiles(1.0, 0.0), job_energy_wh=k, hours=2)
+    # without energy the capacity stays 0 and any k is fine
+    assert run_year(const_profiles(0.0), job_energy_wh=k, hours=2).r_avg == 0.0
 
 
 def brute_force_best(caps, jobs):
@@ -86,15 +97,13 @@ def test_greedy_hour_is_optimal_small():
         assert got == pytest.approx(brute_force_best(caps, jobs), abs=1e-9)
 
 
-def test_sweeps_and_threads(site_profiles):
+def test_sweeps(site_profiles):
     ks = [1.0, 4.0]
     rows = sweep_k(site_profiles, ks, jobs_per_hour=90, hours=48)
     assert [r[0] for r in rows] == ks
-    rows2 = sweep_k(site_profiles, ks, jobs_per_hour=90, hours=48, threads=3)
-    assert rows == rows2
 
     loads = [10, 50]
-    lrows = sweep_load(site_profiles, loads, hours=48, threads=2)
+    lrows = sweep_load(site_profiles, loads, hours=48)
     assert [r[0] for r in lrows] == loads
     assert all(0.0 <= r[1] <= 1.0 and 0.0 <= r[2] <= 1.0 for r in lrows)
 
@@ -116,10 +125,8 @@ def test_metrics_csv_shape():
     assert lines[1] == "0,green_aware,1,3,2.000000,0.666667,3,0"
     assert len(lines) == 3
 
-    hourly = rep.hourly
-    assert hourly[1].hour == 1
-    assert hourly[1].green_jobs == 2.0
-    assert hourly[1].per_dc_load.tolist() == [3, 0]
+    assert rep.green_jobs[1] == 2.0
+    assert rep.per_dc_load[1].tolist() == [3, 0]
 
 
 def test_sweep_csv_shape():
