@@ -20,7 +20,7 @@ import numpy as np
 
 from .datafiles import load_profiles_dir, load_site_csv
 from .energy import SYNTH_SHAPES, profile_csv_text, synth_profile
-from .errors import GraspError, ParseError, ValidationError
+from .errors import GraspError, ValidationError
 from .experiment import metrics_csv_text, run_year, sweep_csv_text, sweep_k, sweep_load
 from .model import SCHEDULER_NAMES, ControllerConfig, load_config, load_topology
 from .netsim import run_scenario
@@ -272,7 +272,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, GraspError) as exc:
+    except GraspError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
     except OSError as exc:

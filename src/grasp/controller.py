@@ -324,7 +324,7 @@ class Controller:
         if not self.dcs:
             self._log(now, "ev=drop reason=no_datacenter flow=%s" % flow_id)
             return ControllerResponse(dropped="no_datacenter")
-        decision = self.decide(self.sched, self.config.weights)
+        decision = self.decide(self.sched)
         rec = self.dcs[decision.dc_index]
         try:
             path = self.compute_path(pkt_in.switch, rec.switch)

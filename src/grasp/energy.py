@@ -8,14 +8,13 @@ directly.  Synthetic shapes cover tests and demos.
 
 import csv
 import math
-import numbers
 from itertools import islice
 from operator import itemgetter
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .model import PanelConfig
+from .model import PanelConfig, finite_number
 
 HOURS_PER_YEAR = 8760
 
@@ -29,7 +28,7 @@ def valid_energy(value):
     """
     if isinstance(value, np.ndarray):
         return np.isfinite(value) & (value >= 0)
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value) and value >= 0
+    return finite_number(value) and value >= 0
 
 
 class EnergyProfile:

@@ -7,6 +7,8 @@ one explicitly.
 """
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 from .errors import ParseError, ValidationError
@@ -52,14 +54,14 @@ def format_mac(mac):
 
 
 def parse_ip(text):
-    parts = text.split(".")
-    if len(parts) != 4 or not all(p.isdigit() and int(p) <= 255 for p in parts):
+    parts = text.split(".") if isinstance(text, str) else []
+    if len(parts) != 4 or not all(p.isdecimal() and int(p) <= 255 for p in parts):
         raise ParseError(f"bad IP address {text!r}")
     return (int(parts[0]) << 24) | (int(parts[1]) << 16) | (int(parts[2]) << 8) | int(parts[3])
 
 
 def parse_mac(text):
-    parts = text.split(":")
+    parts = text.split(":") if isinstance(text, str) else []
     if len(parts) != 6:
         raise ParseError(f"bad MAC address {text!r}")
     try:
@@ -209,6 +211,21 @@ def _require(condition, field_name, message):
         raise ValidationError(field_name, message)
 
 
+def finite_number(value):
+    """Whether `value` is a real number, not a bool, and finite as a float."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _number(value, field_name):
+    _require(finite_number(value), field_name, "must be a finite number")
+    return float(value)
+
+
 def topology_from_dict(data):
     _require(isinstance(data, dict), "topology", "top level must be a JSON object")
     for key in ("switches", "links", "datacenters", "clients"):
@@ -223,6 +240,10 @@ def topology_from_dict(data):
 
     used_ports = set()
 
+    def switch_of(name, where):
+        _require(isinstance(name, str) and name in index_of, where, f"unknown switch {name!r}")
+        return NodeId(SWITCH, index_of[name])
+
     def claim_port(switch, port, where):
         _require(isinstance(port, int) and port > 0, where, f"port must be a positive integer, got {port!r}")
         _require((switch, port) not in used_ports, where, f"port {port} on {names[switch.index]!r} used twice")
@@ -234,11 +255,9 @@ def topology_from_dict(data):
         _require(isinstance(raw, dict), where, "must be an object")
         for k in ("a", "a_port", "b", "b_port"):
             _require(k in raw, where, f"missing {k!r}")
-        _require(raw["a"] in index_of, where, f"unknown switch {raw['a']!r}")
-        _require(raw["b"] in index_of, where, f"unknown switch {raw['b']!r}")
-        _require(raw["a"] != raw["b"], where, "link endpoints must differ")
-        a = NodeId(SWITCH, index_of[raw["a"]])
-        b = NodeId(SWITCH, index_of[raw["b"]])
+        a = switch_of(raw["a"], where)
+        b = switch_of(raw["b"], where)
+        _require(a != b, where, "link endpoints must differ")
         claim_port(a, raw["a_port"], where)
         claim_port(b, raw["b_port"], where)
         links.append(Link(a, raw["a_port"], b, raw["b_port"]))
@@ -256,8 +275,7 @@ def topology_from_dict(data):
             _require(isinstance(raw["name"], str) and raw["name"], where, "name must be a non-empty string")
             _require(raw["name"] not in seen, where, f"duplicate name {raw['name']!r}")
             seen.add(raw["name"])
-            _require(raw["switch"] in index_of, where, f"unknown switch {raw['switch']!r}")
-            switch = NodeId(SWITCH, index_of[raw["switch"]])
+            switch = switch_of(raw["switch"], where)
             claim_port(switch, raw["port"], where)
             node = NodeId(kind, i)
             if "ip" in raw or "mac" in raw:
@@ -279,13 +297,17 @@ def topology_from_dict(data):
     return topo
 
 
-def load_topology(path):
+def read_json(path):
+    """Parse one JSON file; text that is not JSON raises ParseError naming the file."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
+            return json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, or bytes that do not decode as text
         raise ParseError(f"{path}: {exc}") from None
-    return topology_from_dict(data)
+
+
+def load_topology(path):
+    return topology_from_dict(read_json(path))
 
 
 @dataclass
@@ -326,7 +348,7 @@ def validate_config(cfg):
     _require(all(isinstance(p, str) and p for p in cfg.parameters), "parameters", "entries must be non-empty strings")
     _require(len(set(cfg.parameters)) == len(cfg.parameters), "parameters", "duplicate parameter name")
     _require(GREEN_ENERGY_PARAM in cfg.parameters, "parameters", f"must include {GREEN_ENERGY_PARAM!r}")
-    _require(len(cfg.weights) == len(cfg.parameters), "weights", "must match parameters in length")
+    _require(isinstance(cfg.weights, list) and len(cfg.weights) == len(cfg.parameters), "weights", "must match parameters in length")
     _require(all(isinstance(w, (int, float)) for w in cfg.weights), "weights", "entries must be numbers")
     _require(cfg.report_period > 0, "report_period", "must be > 0")
     _require(cfg.flow_idle_timeout > 0, "flow_idle_timeout", "must be > 0")
@@ -359,8 +381,7 @@ def config_from_dict(data):
         cfg.weights = data["weights"]
     for key in ("report_period", "flow_idle_timeout", "job_energy_wh"):
         if key in data:
-            _require(isinstance(data[key], (int, float)), key, "must be a number")
-            setattr(cfg, key, float(data[key]))
+            setattr(cfg, key, _number(data[key], key))
     if "scheduler" in data:
         cfg.scheduler = data["scheduler"]
     nsrdb = data.get("nsrdb", {})
@@ -376,15 +397,9 @@ def config_from_dict(data):
     }
     for key, value in panel.items():
         _require(key in panel_fields, f"panel.{key}", "unknown panel key")
-        _require(isinstance(value, (int, float)), f"panel.{key}", "must be a number")
-        setattr(cfg.panel, key, float(value))
+        setattr(cfg.panel, key, _number(value, f"panel.{key}"))
     return validate_config(cfg)
 
 
 def load_config(path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    return config_from_dict(data)
+    return config_from_dict(read_json(path))

@@ -3,32 +3,40 @@
 Switches hold flow tables with idle timeouts, links are lossless and
 zero-latency, and every behavior is driven off one event heap ordered by
 (time, insertion sequence), so a scenario with the same seed replays
-byte-identically.  Timer ticks fire every simulated second and are
-inserted ahead of scripted events, so expiry sweeps and hour boundaries
-run before same-instant workload.
+byte-identically.  The run loop itself fires a timer tick at every whole
+simulated second: before it handles an event at time t it runs every tick
+due at or before t, so expiry sweeps and hour boundaries run before
+same-instant workload, and the heap holds only scripted and in-flight
+events, never the ticks.
 
 Scenario files are JSON: which topology and controller config to use,
 when data-center agents register (each backed by an energy profile), and
 the client workload as explicit flow-open times or a per-hour rate.
+Time 0 is midnight of hour 0.  An agent reports its energy first one
+`report_period` after its registration is acknowledged, so until then the
+controller scores every data center 0.
 """
 
 import heapq
-import json
+import itertools
+import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .controller import Controller, Packet, PacketIn, match_text
+from .controller import SERVICE_IP, Controller, Packet, PacketIn, match_text
 from .energy import build_profile, load_profile_csv, parse_nsrdb_csv, synth_profile
 from .errors import ScriptError, ValidationError
 from .model import (
-    CLIENT,
     DATACENTER,
     SWITCH,
+    NodeId,
     config_from_dict,
+    finite_number,
     load_config,
     load_topology,
+    read_json,
     topology_from_dict,
 )
 
@@ -43,7 +51,6 @@ class FlowRule:
     actions: tuple
     idle_timeout: float  # 0 = permanent
     last_hit: float
-    seq: int
 
     def matches(self, packet):
         if self.match_src is not None and self.match_src != packet.ip_src:
@@ -54,12 +61,13 @@ class FlowRule:
 
 
 class FlowTable:
-    """One switch's rules.  Expired entries are removed before any lookup."""
+    """One switch's rules.  Expired entries are removed before any lookup,
+    each with an `ev=expire` line on `trace`."""
 
-    def __init__(self):
+    def __init__(self, switch=None, trace=None):
+        self.switch = switch
+        self.trace = trace if trace is not None else []
         self.rules = []
-        self._seq = 0
-        self.on_expire = None  # callable(rule, now)
 
     def install(self, mod, now):
         """Install a rule from a FlowMod; same (priority, match) replaces."""
@@ -80,19 +88,18 @@ class FlowTable:
                 actions=mod.actions,
                 idle_timeout=mod.idle_timeout,
                 last_hit=now,
-                seq=self._seq,
             )
         )
-        self._seq += 1
 
     def expire(self, now):
         """Drop every rule idle for at least its timeout; returns them."""
         dead = [r for r in self.rules if r.idle_timeout > 0 and now - r.last_hit >= r.idle_timeout]
         if dead:
             self.rules = [r for r in self.rules if r not in dead]
-            if self.on_expire is not None:
-                for rule in dead:
-                    self.on_expire(rule, now)
+            for rule in dead:
+                self.trace.append(
+                    "t=%.3f ev=expire sw=%s match=%s" % (now, self.switch, match_text(rule.match_src, rule.match_dst))
+                )
         return dead
 
     def lookup(self, packet, now):
@@ -154,33 +161,33 @@ class Simulation:
         self.controller = Controller(config, seed=seed, trace=self.trace)
         self.tables = {}
         self.ports = {}
-        for i, _ in enumerate(topology.switch_names):
-            sw = _switch_node(topology, i)
-            self.tables[sw] = FlowTable()
-            self.tables[sw].on_expire = self._make_expire_logger(sw)
+        for i in range(len(topology.switch_names)):
+            sw = NodeId(SWITCH, i)
+            self.tables[sw] = FlowTable(sw, self.trace)
             self.ports[sw] = topology.ports(sw)
-        self._heap = []
-        self._seq = 0
+        self._heap = []  # (time, insertion order, kind, payload)
+        self._order = itertools.count()
         self._agents = {}  # dc NodeId -> agent runtime state
-        self._flows_by_client = {}
-        self._dc_jobs = {}  # dc_id -> count
         self.deliveries = []
         self.client_rx = {a.name: [] for a in topology.clients}
         self.snapshots = {}
         self.horizon = 0.0
-
-    def _make_expire_logger(self, sw):
-        def log(rule, now):
-            self.trace.append(
-                "t=%.3f ev=expire sw=%s match=%s"
-                % (now, sw, match_text(rule.match_src, rule.match_dst))
-            )
-
-        return log
+        self._handlers = {
+            "deliver": self._deliver,
+            "connect": self._connect,
+            "agent_register": self._agent_register,
+            "agent_report": self._agent_report,
+            "flow_open": lambda now, flow: self._emit_from_host(
+                now, flow[0], "request", {"flow_id": flow[1]}, ip_dst=SERVICE_IP
+            ),
+            "flow_data": lambda now, flow: self._emit_from_host(
+                now, flow[0], "data", {"flow_id": flow[1]}, ip_dst=SERVICE_IP
+            ),
+            "snapshot": self._snapshot,
+        }
 
     def schedule(self, time, kind, payload=None):
-        heapq.heappush(self._heap, (time, self._seq, kind, payload))
-        self._seq += 1
+        heapq.heappush(self._heap, (time, next(self._order), kind, payload))
 
     # -- event handlers ----------------------------------------------------
 
@@ -203,16 +210,20 @@ class Simulation:
             node, peer_port = peer
             self.schedule(now, "deliver", (node, peer_port, out.packet))
 
-    def _emit_from_host(self, now, host_node, packet):
-        """A host puts a packet on its access link; it arrives at the switch."""
-        att = self._attachment(host_node)
+    def _emit_from_host(self, now, node, kind, payload, eth_dst=0, ip_dst=0):
+        """A host puts a packet from its own address on its access link; it
+        arrives at the switch."""
+        addr = self.topology.addresses[node]
+        packet = Packet(kind=kind, eth_src=addr.mac, eth_dst=eth_dst, ip_src=addr.ip, ip_dst=ip_dst, payload=payload)
+        att = self._attachment(node)
         self.schedule(now, "deliver", (att.switch, att.port, packet))
 
     def _attachment(self, node):
         group = self.topology.datacenters if node.kind == DATACENTER else self.topology.clients
         return group[node.index]
 
-    def _deliver(self, now, node, in_port, packet):
+    def _deliver(self, now, arrival):
+        node, in_port, packet = arrival
         if node.kind == SWITCH:
             self._switch_rx(now, node, in_port, packet)
         elif node.kind == DATACENTER:
@@ -248,7 +259,7 @@ class Simulation:
 
     def _dc_rx(self, now, node, packet):
         agent = self._agents.get(node)
-        if agent is None or packet.kind == "discover":
+        if agent is None:
             return
         if packet.kind == "register_ack":
             agent["dc_id"] = packet.payload["dc_id"]
@@ -257,132 +268,65 @@ class Simulation:
             next_report = now + agent["period"]
             if next_report < self.horizon:
                 self.schedule(next_report, "agent_report", node)
-            return
-        if packet.kind in ("request", "data"):
-            if packet.kind == "request":
-                dc_id = agent["dc_id"]
-                flow_id = str(packet.payload.get("flow_id", ""))
-                self._dc_jobs[dc_id] = self._dc_jobs.get(dc_id, 0) + 1
-                self.deliveries.append((flow_id, dc_id))
-                self.trace.append("t=%.3f ev=deliver flow=%s dc=d%d" % (now, flow_id, dc_id))
-                if agent["script"].respond:
-                    addr = self.topology.addresses[node]
-                    self._emit_from_host(
-                        now,
-                        node,
-                        Packet(
-                            kind="response",
-                            eth_src=addr.mac,
-                            eth_dst=packet.eth_src,
-                            ip_src=addr.ip,
-                            ip_dst=packet.ip_src,
-                            payload={"flow_id": flow_id},
-                        ),
-                    )
-            return
+        elif packet.kind == "request":
+            dc_id = agent["dc_id"]
+            flow_id = str(packet.payload.get("flow_id", ""))
+            self.deliveries.append((flow_id, dc_id))
+            self.trace.append("t=%.3f ev=deliver flow=%s dc=d%d" % (now, flow_id, dc_id))
+            if agent["script"].respond:
+                self._emit_from_host(
+                    now, node, "response", {"flow_id": flow_id}, eth_dst=packet.eth_src, ip_dst=packet.ip_src
+                )
         # anything else a data center receives is ignored
 
     def _agent_register(self, now, node):
-        agent = self._agents[node]
-        addr = self.topology.addresses[node]
-        self._emit_from_host(
-            now,
-            node,
-            Packet(
-                kind="register",
-                eth_src=addr.mac,
-                eth_dst=0,
-                ip_src=addr.ip,
-                ip_dst=0,
-                payload={"name": agent["script"].dc_name},
-            ),
-        )
+        self._emit_from_host(now, node, "register", {"name": self._agents[node]["script"].dc_name})
 
     def _agent_report(self, now, node):
         agent = self._agents[node]
         if agent["dc_id"] is None:
             return
         hour = int(now // SECONDS_PER_HOUR) % len(agent["script"].profile.wh)
-        addr = self.topology.addresses[node]
-        self._emit_from_host(
-            now,
-            node,
-            Packet(
-                kind="report",
-                eth_src=addr.mac,
-                eth_dst=0,
-                ip_src=addr.ip,
-                ip_dst=0,
-                payload={
-                    "passcode": agent["passcode"],
-                    "values": {"green_energy_wh": float(agent["script"].profile.wh[hour])},
-                },
-            ),
-        )
+        values = {"green_energy_wh": float(agent["script"].profile.wh[hour])}
+        self._emit_from_host(now, node, "report", {"passcode": agent["passcode"], "values": values})
         next_report = now + agent["period"]
         if next_report < self.horizon:
             self.schedule(next_report, "agent_report", node)
 
-    def _client_emit(self, now, client_node, flow_id, kind):
-        addr = self.topology.addresses[client_node]
-        from .controller import SERVICE_IP
-
-        self._emit_from_host(
-            now,
-            client_node,
-            Packet(
-                kind=kind,
-                eth_src=addr.mac,
-                eth_dst=0,
-                ip_src=addr.ip,
-                ip_dst=SERVICE_IP,
-                payload={"flow_id": flow_id},
-            ),
-        )
-
     def _tick(self, now):
-        for sw in sorted(self.tables):
-            self.tables[sw].expire(now)
+        for table in self.tables.values():
+            table.expire(now)
         if now > 0 and now % SECONDS_PER_HOUR == 0:
             self.controller.on_hour(int(now // SECONDS_PER_HOUR), now=now)
 
-    def _snapshot(self, now):
+    def _snapshot(self, now, _=None):
         lines = []
-        for sw in sorted(self.tables):
-            for line in self.tables[sw].dump():
+        for sw, table in self.tables.items():
+            for line in table.dump():
                 lines.append("sw=%s %s" % (sw, line))
         self.snapshots[now] = "\n".join(lines)
 
     # -- main loop -----------------------------------------------------------
 
     def run(self, horizon):
+        """Handle every event before `horizon`, with a tick at each whole
+        second in (0, horizon); a tick runs before any event of its instant."""
         self.horizon = float(horizon)
+        tick = 1.0
         while self._heap and self._heap[0][0] < self.horizon:
             now, _, kind, payload = heapq.heappop(self._heap)
-            if kind == "tick":
-                self._tick(now)
-            elif kind == "deliver":
-                self._deliver(now, *payload)
-            elif kind == "connect":
-                self._connect(now, payload)
-            elif kind == "agent_register":
-                self._agent_register(now, payload)
-            elif kind == "agent_report":
-                self._agent_report(now, payload)
-            elif kind == "flow_open":
-                self._client_emit(now, payload[0], payload[1], "request")
-            elif kind == "flow_data":
-                self._client_emit(now, payload[0], payload[1], "data")
-            elif kind == "snapshot":
-                self._snapshot(now)
+            while tick <= now:
+                self._tick(tick)
+                tick += 1.0
+            self._handlers[kind](now, payload)
+        while tick < self.horizon:
+            self._tick(tick)
+            tick += 1.0
 
     def report(self):
-        n_dcs = len(self.controller.dcs)
-        jobs = np.zeros(n_dcs, dtype=np.int64)
-        for dc_id, count in self._dc_jobs.items():
-            jobs[dc_id] = count
+        dc_ids = np.array([dc_id for _, dc_id in self.deliveries], dtype=np.int64)
         return SimReport(
-            per_dc_jobs=jobs,
+            per_dc_jobs=np.bincount(dc_ids, minlength=len(self.controller.dcs)),
             dc_names=[rec.name for rec in self.controller.dcs],
             deliveries=list(self.deliveries),
             packet_in_count=self.controller.packet_in_count,
@@ -394,21 +338,46 @@ class Simulation:
         )
 
 
-def _switch_node(topology, index):
-    from .model import NodeId
+def _seconds(value, what, minimum=-math.inf):
+    """A scenario time: a finite number of seconds (not a bool), >= minimum."""
+    if finite_number(value) and value >= minimum:
+        return float(value)
+    raise ScriptError(f"bad {what}: {value!r}")
 
-    return NodeId(SWITCH, index)
+
+def _count(value, what):
+    """A non-negative int, not a bool, below 2**53 so it stays exact as float seconds."""
+    if isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**53:
+        return value
+    raise ScriptError(f"{what} must be a non-negative integer, got {value!r}")
+
+
+def _list(value, what):
+    if not isinstance(value, (list, tuple)):
+        raise ScriptError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _object(value, what):
+    if not isinstance(value, dict):
+        raise ScriptError(f"{what} must be an object, got {value!r}")
+    return value
+
+
+def _path(base_dir, value, what):
+    if not isinstance(value, str) or not value or "\0" in value:
+        raise ScriptError(f"{what} must be a file path, got {value!r}")
+    return os.path.join(base_dir, value)
 
 
 def _resolve_profile(spec, base_dir, config):
-    if not isinstance(spec, dict):
-        raise ScriptError(f"agent profile must be an object, got {spec!r}")
+    _object(spec, "agent profile")
     if "weather_csv" in spec:
-        path = os.path.join(base_dir, spec["weather_csv"])
+        path = _path(base_dir, spec["weather_csv"], "weather_csv")
         weather = parse_nsrdb_csv(path, temp_column=config.nsrdb_temp_column, ghi_column=config.nsrdb_ghi_column)
         return build_profile(weather, panel=config.panel, site=os.path.basename(path))
     if "profile_csv" in spec:
-        path = os.path.join(base_dir, spec["profile_csv"])
+        path = _path(base_dir, spec["profile_csv"], "profile_csv")
         return load_profile_csv(path, site=os.path.basename(path))
     if "shape" in spec:
         try:
@@ -418,25 +387,24 @@ def _resolve_profile(spec, base_dir, config):
     raise ScriptError(f"agent profile needs weather_csv, profile_csv or shape: {spec!r}")
 
 
-def _hours_in_horizon(horizon):
-    return int(horizon // SECONDS_PER_HOUR)
-
-
 def load_scenario(source, base_dir=None):
-    """Parse a scenario file (or dict) into topology, config and scripts."""
+    """Parse a scenario file (or dict) into topology, config and scripts.
+
+    Lists and objects must be lists and objects, times finite numbers of
+    seconds and counts non-negative integers; anything else raises
+    ScriptError (ParseError/ValidationError inside topology and config).
+    """
     if isinstance(source, (str, os.PathLike)):
         base_dir = os.path.dirname(os.path.abspath(source))
-        with open(source) as fh:
-            data = json.load(fh)
+        data = read_json(source)
     else:
         data = source
         base_dir = base_dir or "."
-    if not isinstance(data, dict):
-        raise ScriptError("scenario must be a JSON object")
+    _object(data, "scenario")
 
     topo_spec = data.get("topology")
     if isinstance(topo_spec, str):
-        topology = load_topology(os.path.join(base_dir, topo_spec))
+        topology = load_topology(_path(base_dir, topo_spec, "topology"))
     elif isinstance(topo_spec, dict):
         topology = topology_from_dict(topo_spec)
     else:
@@ -444,29 +412,26 @@ def load_scenario(source, base_dir=None):
 
     config_spec = data.get("config", {})
     if isinstance(config_spec, str):
-        config = load_config(os.path.join(base_dir, config_spec))
+        config = load_config(_path(base_dir, config_spec, "config"))
     elif isinstance(config_spec, dict):
         config = config_from_dict(config_spec)
     else:
         raise ScriptError("config must be a path or object")
 
-    horizon = data.get("horizon", SECONDS_PER_HOUR)
-    if not isinstance(horizon, (int, float)) or horizon <= 0:
+    horizon = _seconds(data.get("horizon", SECONDS_PER_HOUR), "horizon")
+    if horizon <= 0:
         raise ScriptError(f"horizon must be a positive number, got {horizon!r}")
 
     dc_names = {a.name for a in topology.datacenters}
     agents = []
-    for raw in data.get("agents", []):
-        name = raw.get("dc")
-        if name not in dc_names:
+    for raw in _list(data.get("agents", []), "agents"):
+        name = _object(raw, "agent").get("dc")
+        if not isinstance(name, str) or name not in dc_names:
             raise ScriptError(f"agent references unknown data center {name!r}")
-        register_at = raw.get("register_at", 0.5)
-        if not isinstance(register_at, (int, float)) or register_at < 0:
-            raise ScriptError(f"bad register_at for {name!r}: {register_at!r}")
         agents.append(
             AgentScript(
                 dc_name=name,
-                register_at=float(register_at),
+                register_at=_seconds(raw.get("register_at", 0.5), f"register_at for {name!r}", minimum=0.0),
                 profile=_resolve_profile(raw.get("profile", {"shape": "zero"}), base_dir, config),
                 respond=bool(raw.get("respond", False)),
             )
@@ -474,28 +439,26 @@ def load_scenario(source, base_dir=None):
 
     client_names = {a.name for a in topology.clients}
     flows = []
-    for raw in data.get("clients", []):
-        name = raw.get("client")
-        if name not in client_names:
+    for raw in _list(data.get("clients", []), "clients"):
+        name = _object(raw, "client workload").get("client")
+        if not isinstance(name, str) or name not in client_names:
             raise ScriptError(f"workload references unknown client {name!r}")
         if "flows" in raw:
-            for f in raw["flows"]:
-                open_at = f.get("open_at")
-                if not isinstance(open_at, (int, float)) or open_at < 0:
-                    raise ScriptError(f"bad open_at in flow for {name!r}: {open_at!r}")
+            for f in _list(raw["flows"], f"flows of {name!r}"):
+                open_at = _seconds(_object(f, f"flow of {name!r}").get("open_at"), f"open_at in flow for {name!r}", 0.0)
                 if "id" not in f:
                     raise ScriptError(f"explicit flow for {name!r} needs an id")
-                data_at = tuple(float(t) for t in f.get("data_at", ()))
-                if any(t < open_at for t in data_at):
-                    raise ScriptError(f"flow {f['id']!r} has data packets before open")
-                flows.append(ClientFlow(name, str(f["id"]), float(open_at), data_at))
+                data_at = tuple(
+                    _seconds(t, f"data_at of flow {f['id']!r} (not before open)", minimum=open_at)
+                    for t in _list(f.get("data_at", []), f"data_at of flow {f['id']!r}")
+                )
+                flows.append(ClientFlow(name, str(f["id"]), open_at, data_at))
         elif "rate_per_hour" in raw:
-            rate = raw["rate_per_hour"]
-            if not isinstance(rate, int) or rate < 0:
-                raise ScriptError(f"rate_per_hour must be a non-negative integer, got {rate!r}")
-            hour_list = raw.get("hours", list(range(_hours_in_horizon(horizon))))
-            n_data = int(raw.get("data_packets", 0))
+            rate = _count(raw["rate_per_hour"], "rate_per_hour")
+            hour_list = _list(raw.get("hours", list(range(int(horizon // SECONDS_PER_HOUR)))), "hours")
+            n_data = _count(raw.get("data_packets", 0), "data_packets")
             for h in hour_list:
+                _count(h, "hours entry")
                 for i in range(rate):
                     open_at = h * SECONDS_PER_HOUR + (i + 1) * SECONDS_PER_HOUR / (rate + 1)
                     data_at = tuple(open_at + 0.25 * (j + 1) for j in range(n_data))
@@ -503,15 +466,18 @@ def load_scenario(source, base_dir=None):
         else:
             raise ScriptError(f"client {name!r} needs flows or rate_per_hour")
 
-    connects = data.get("switch_connects")
-    if connects is None:
-        connects = [{"switch": n, "at": 0.0} for n in topology.switch_names]
-    for c in connects:
-        if c.get("switch") not in topology.switch_names:
-            raise ScriptError(f"unknown switch in switch_connects: {c.get('switch')!r}")
+    connects = []
+    raw_connects = data.get("switch_connects")
+    if raw_connects is None:
+        raw_connects = [{"switch": n} for n in topology.switch_names]
+    for c in _list(raw_connects, "switch_connects"):
+        switch = _object(c, "switch_connects entry").get("switch")
+        if switch not in topology.switch_names:
+            raise ScriptError(f"unknown switch in switch_connects: {switch!r}")
+        connects.append({"switch": switch, "at": _seconds(c.get("at", 0.0), f"connect time of {switch!r}")})
 
-    snapshot_times = [float(t) for t in data.get("snapshot_times", [])]
-    return topology, config, agents, flows, connects, snapshot_times, float(horizon)
+    snapshot_times = [_seconds(t, "snapshot time") for t in _list(data.get("snapshot_times", []), "snapshot_times")]
+    return topology, config, agents, flows, connects, snapshot_times, horizon
 
 
 def run_scenario(source, base_dir=None, seed=0):
@@ -519,17 +485,12 @@ def run_scenario(source, base_dir=None, seed=0):
     topology, config, agents, flows, connects, snapshot_times, horizon = load_scenario(source, base_dir=base_dir)
     sim = Simulation(topology, config, seed=seed)
 
-    # ticks go in first so same-instant ordering is: housekeeping, then
-    # snapshots, then scripted traffic
-    t = 1.0
-    while t < horizon:
-        sim.schedule(t, "tick", None)
-        t += 1.0
+    # same-instant ordering after the tick: snapshots, then scripted traffic
     for t in sorted(snapshot_times):
         sim.schedule(t, "snapshot", None)
 
     for c in connects:
-        sim.schedule(float(c.get("at", 0.0)), "connect", sim.topology.switch_id(c["switch"]))
+        sim.schedule(c["at"], "connect", sim.topology.switch_id(c["switch"]))
 
     dc_by_name = {a.name: a.node for a in topology.datacenters}
     for script in agents:

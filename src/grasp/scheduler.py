@@ -56,12 +56,11 @@ class Decision:
     scores: np.ndarray
 
 
-def green_aware_decide(state, weights=None):
+def green_aware_decide(state):
     """Place one job on the data center with the highest spare green capacity.
 
     Score per data center: energy_wh / job_energy_wh - assigned.  The
-    lowest index wins ties.  `weights` is accepted for parameter-weighting
-    extensions and ignored by this policy.
+    lowest index wins ties.
     """
     if state.m == 0:
         raise EmptyFleet("no data centers registered")
@@ -71,7 +70,7 @@ def green_aware_decide(state, weights=None):
     return Decision(dc_index=pick, scores=scores)
 
 
-def round_robin_decide(state, weights=None):
+def round_robin_decide(state):
     """Place one job on the next data center in cyclic order."""
     if state.m == 0:
         raise EmptyFleet("no data centers registered")

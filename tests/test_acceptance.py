@@ -183,23 +183,26 @@ def test_criterion_7_idle_timeout_from_trace():
 
 
 def test_criterion_8_protocol_fast_cross_check(site_profiles):
+    # the bundled 24 h scenario's workload, run for a week
     scenario_path = data_path("scenario_geni_24h.json")
+    hours = 168
     results = {}
     for sched in ("green_aware", "round_robin"):
         scen = json.load(open(scenario_path))
         scen["config"]["scheduler"] = sched
+        scen["horizon"] = hours * 3600.0
         rep = run_scenario(scen, base_dir=data_path(), seed=0)
-        hourly = np.zeros((24, 9), dtype=np.int64)
+        hourly = np.zeros((hours, 9), dtype=np.int64)
         for line in rep.trace:
             m = re.match(r"t=([0-9.]+) ev=deliver flow=\S+ dc=d(\d+)", line)
             if m:
                 hourly[int(float(m.group(1)) // 3600.0), int(m.group(2))] += 1
-        fast = run_year(site_profiles, sched, 1.0, 12, hours=24)
+        fast = run_year(site_profiles, sched, 1.0, 12, hours=hours)
         results[sched] = np.array_equal(hourly, fast.per_dc_load)
     check(
         results["green_aware"] and results["round_robin"],
-        "criterion 8: 24 h protocol run and fast mode place identical per-DC "
-        "loads (green %s, round robin %s)" % (results["green_aware"], results["round_robin"]),
+        "criterion 8: %d h protocol run and fast mode place identical per-DC "
+        "loads (green %s, round robin %s)" % (hours, results["green_aware"], results["round_robin"]),
     )
 
 

@@ -151,6 +151,12 @@ def test_exit_codes_missing_vs_malformed(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{]")
     assert run_cli("validate", "--topology", str(bad)) == 1
+    assert run_cli("scenario", "--scenario", str(bad)) == 1
+    assert run_cli("scenario", "--scenario", str(tmp_path / "ghost.json")) == 2
+    not_text = tmp_path / "not_text.json"
+    not_text.write_bytes(b"\xff\xfe{")
+    assert run_cli("scenario", "--scenario", str(not_text)) == 1
+    assert run_cli("validate", "--config", str(not_text)) == 1
     empty_dir = tmp_path / "empty"
     empty_dir.mkdir()
     assert run_cli("run", "--energy-dir", str(empty_dir)) == 1

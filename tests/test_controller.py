@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grasp.controller import (
     BROADCAST_MAC,
@@ -11,7 +15,7 @@ from grasp.controller import (
     PacketIn,
     dump_flow_mods,
 )
-from grasp.errors import AlreadyConnected, NoPath, UnknownSwitch
+from grasp.errors import AlreadyConnected, GraspError, NoPath, UnknownSwitch
 from grasp.model import (
     SWITCH,
     ControllerConfig,
@@ -206,6 +210,34 @@ def test_report_value_validation():
     assert controller.sched.energy_wh.tolist() == [42.5]
     assert controller.latest_report[0] == {"green_energy_wh": 42.5}
     assert controller.auth_failures == 0  # malformed values are not auth failures
+
+
+REPORT_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**400)])
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["green_energy_wh", "cpu_load"]) | st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=REPORT_VALUES)
+def test_fuzzed_report_values_never_steer_placement(values):
+    topo = line_topology()
+    controller = make(topo)
+    passcode = register(controller, topo).packets[0].packet.payload["passcode"]
+    att = topo.datacenters[0]
+    try:
+        controller.on_packet_in(PacketIn(att.switch, att.port, report_packet(topo, att.node, passcode, values)))
+    except (GraspError, OSError):
+        pass
+    (energy,) = controller.sched.energy_wh.tolist()
+    assert math.isfinite(energy) and energy >= 0
 
 
 def client_request(topo, flow_id="f1"):

@@ -45,7 +45,7 @@ def test_ip_round_trip():
         assert format_ip(parse_ip(text)) == text
 
 
-@pytest.mark.parametrize("bad", ["", "1.2.3", "1.2.3.4.5", "1.2.3.999", "a.b.c.d"])
+@pytest.mark.parametrize("bad", ["", "1.2.3", "1.2.3.4.5", "1.2.3.999", "a.b.c.d", "\u00b9.2.3.4", 7, None])
 def test_ip_rejects(bad):
     with pytest.raises(ParseError):
         parse_ip(bad)
@@ -58,6 +58,8 @@ def test_mac_round_trip():
         parse_mac("02:00:01:00:00")
     with pytest.raises(ParseError):
         parse_mac("zz:00:00:00:00:00")
+    with pytest.raises(ParseError):
+        parse_mac(7)
 
 
 def test_auto_addresses_unique_across_kinds():
@@ -125,6 +127,8 @@ def broken(mutate):
         lambda d: d["clients"].append({"name": "c_x", "switch": "right", "port": 0}),
         lambda d: d["clients"].append({"name": "c_x", "switch": "middle", "port": 8}),
         lambda d: d["clients"][0].pop("port"),
+        lambda d: d["clients"][0].__setitem__("switch", ["left"]),
+        lambda d: d["links"].append({"a": {}, "a_port": 4, "b": "left", "b_port": 5}),
     ],
 )
 def test_topology_rejects(mutate):
@@ -185,6 +189,11 @@ def test_config_weights_track_parameters():
         {"panel": {"efficiency": 1.5}},
         {"panel": {"tilt": 30}},
         {"made_up_key": 1},
+        {"report_period": float("inf")},
+        {"flow_idle_timeout": True},
+        {"job_energy_wh": 10**400},
+        {"panel": {"reference_temp_c": float("nan")}},
+        {"weights": 5},
     ],
 )
 def test_config_rejects(data):

@@ -1,8 +1,18 @@
-import pytest
+import contextlib
+import io
+import json
+import numbers
+import os
+import tempfile
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from grasp.cli import main as cli_main
 from grasp.controller import FlowMod, Packet
 from grasp.datafiles import data_path
-from grasp.errors import ScriptError
+from grasp.errors import GraspError, ScriptError
 from grasp.model import NodeId, SWITCH
 from grasp.netsim import FlowTable, load_scenario, run_scenario
 
@@ -69,13 +79,15 @@ def test_install_replaces_same_match():
     assert table.lookup(pkt(src=1), 1.6).actions[0][1] == 6
 
 
-def test_expire_callback_fires():
-    table = FlowTable()
-    seen = []
-    table.on_expire = lambda rule, now: seen.append((rule.match_src, now))
+def test_expire_traces_itself():
+    trace = []
+    table = FlowTable(SW, trace)
     table.install(mod(src=1), now=0.0)
+    table.install(mod(priority=0, timeout=0.0), now=0.0)
+    table.expire(1.999)
+    assert trace == []
     table.expire(2.0)
-    assert seen == [(1, 2.0)]
+    assert trace == ["t=2.000 ev=expire sw=s0 match=0.0.0.1->*"]
 
 
 def scenario_path():
@@ -228,6 +240,61 @@ def test_scenario_rejects(mutate):
         load_scenario(scen)
 
 
+def set_flow(key, value):
+    return lambda s: s["clients"][0]["flows"][0].__setitem__(key, value)
+
+
+def set_rate(key, value):
+    return lambda s: s["clients"].append({"client": "cl", "rate_per_hour": 1, "hours": [0], key: value})
+
+
+NAN, INF = float("nan"), float("inf")
+HOSTILE = {
+    "agent_not_object": lambda s: s.__setitem__("agents", [5]),
+    "agents_not_list": lambda s: s.__setitem__("agents", 5),
+    "agent_dc_unhashable": lambda s: s["agents"].append({"dc": ["dc"]}),
+    "flow_not_object": lambda s: s["clients"][0].__setitem__("flows", [3]),
+    "flows_not_list": lambda s: s["clients"][0].__setitem__("flows", "t1"),
+    "client_not_object": lambda s: s.__setitem__("clients", ["cl"]),
+    "data_at_string": set_flow("data_at", "ab"),
+    "data_at_nan": set_flow("data_at", [NAN]),
+    "open_at_nan": set_flow("open_at", NAN),
+    "open_at_bool": set_flow("open_at", True),
+    "data_packets_string": set_rate("data_packets", "x"),
+    "data_packets_float": set_rate("data_packets", 1.5),
+    "hours_string_entry": set_rate("hours", ["a"]),
+    "hours_huge_entry": set_rate("hours", [10**400]),
+    "hours_not_list": set_rate("hours", 3),
+    "rate_bool": lambda s: s["clients"].append({"client": "cl", "rate_per_hour": True}),
+    "snapshot_time_string": lambda s: s.__setitem__("snapshot_times", ["x"]),
+    "snapshot_time_nan": lambda s: s.__setitem__("snapshot_times", [NAN]),
+    "snapshot_times_not_list": lambda s: s.__setitem__("snapshot_times", 5.0),
+    "connect_at_string": lambda s: s.__setitem__("switch_connects", [{"switch": "s", "at": "x"}]),
+    "connect_at_inf": lambda s: s.__setitem__("switch_connects", [{"switch": "s", "at": INF}]),
+    "connect_not_object": lambda s: s.__setitem__("switch_connects", ["s"]),
+    "register_at_nan": lambda s: s["agents"][0].__setitem__("register_at", NAN),
+    "register_at_huge_int": lambda s: s["agents"][0].__setitem__("register_at", 10**400),
+    "horizon_inf": lambda s: s.__setitem__("horizon", INF),
+    "horizon_nan": lambda s: s.__setitem__("horizon", NAN),
+    "horizon_bool": lambda s: s.__setitem__("horizon", True),
+    "weather_csv_not_path": lambda s: s["agents"][0].__setitem__("profile", {"weather_csv": 5}),
+    "profile_csv_nul": lambda s: s["agents"][0].__setitem__("profile", {"profile_csv": "a\0b"}),
+}
+
+
+@pytest.mark.parametrize("mutate", HOSTILE.values(), ids=HOSTILE.keys())
+def test_scenario_rejects_hostile_input(mutate, tmp_path, capsys):
+    scen = tiny_scenario()
+    mutate(scen)
+    with pytest.raises(ScriptError):
+        load_scenario(scen)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scen))
+    capsys.readouterr()
+    assert cli_main(["scenario", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("peak", ["x", -1.0, float("nan"), float("inf"), True, None])
 def test_scenario_rejects_bad_peak_wh(peak):
     scen = tiny_scenario()
@@ -242,3 +309,54 @@ def test_scenario_packet_in_formula(geni_hour):
     receipts = sum(1 for line in rep.trace if "kind=discover" in line)
     flows = len({f for f, _ in rep.deliveries})
     assert rep.packet_in_count == registrations + receipts + flows
+
+
+# JSON values for mutations; ints stay small (or past the float range) so a
+# mutated count cannot ask for millions of flows
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 40)
+    | st.sampled_from([10**400, -(10**400)])
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def key_paths(node, prefix=()):
+    """Every key/index path below `node`, so a mutation can land anywhere."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from key_paths(value, prefix + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_scenarios_fail_cleanly(data):
+    scen = tiny_scenario(snapshot_times=[1.0, 3.5], switch_connects=[{"switch": "s", "at": 0.0}])
+    scen["clients"].append({"client": "cl", "rate_per_hour": 2, "hours": [0], "data_packets": 1})
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(key_paths(scen))))
+        parent = scen
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(JSON_VALUES)
+    horizon = scen.get("horizon", 3600.0)
+    if isinstance(horizon, numbers.Real) and not isinstance(horizon, bool) and horizon > 120:
+        scen["horizon"] = 120.0
+    try:
+        run_scenario(scen, seed=0)
+    except (GraspError, OSError):
+        pass
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "scenario.json")
+        with open(path, "w") as fh:
+            json.dump(scen, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli_main(["scenario", "--scenario", path]) in (0, 1, 2)

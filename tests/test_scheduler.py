@@ -76,14 +76,6 @@ def test_round_robin_cycles_and_keeps_cursor():
     assert st.assigned.tolist() == [1, 2, 2]
 
 
-def test_decision_scores_ignore_weights():
-    st = state([4.0, 1.0])
-    a = green_aware_decide(st, weights=[1.0])
-    st2 = state([4.0, 1.0])
-    b = green_aware_decide(st2, weights=[123.0])
-    assert a.dc_index == b.dc_index
-
-
 def test_reset_hour():
     st = state([1.0, 2.0], assigned=[5, 7], cursor=1)
     fresh = np.array([9.0, 10.0])
