@@ -145,6 +145,8 @@ class Controller:
         self.switch_macs = {}  # NodeId -> mac
         self._switch_by_mac = {}
         self.adjacency = {}  # (switch, neighbor) -> AdjacencyEntry
+        self._neighbors = None  # switch -> neighbors by index, built from adjacency
+        self._parents = {}  # source switch -> its breadth-first parent table
         self.dcs = []  # dc_id -> DataCenterRecord
         self.dcs_by_ip = {}
         self.latest_report = {}  # dc_id -> values dict
@@ -234,6 +236,10 @@ class Controller:
         if origin is None or origin == pkt_in.switch:
             self._log(now, "ev=drop reason=bad_discover_origin sw=%s" % pkt_in.switch)
             return ControllerResponse(dropped="bad_discover_origin")
+        if (pkt_in.switch, origin) not in self.adjacency:
+            # a new edge can shorten paths; a rediscovered one only renews its port
+            self._neighbors = None
+            self._parents = {}
         self.adjacency[(pkt_in.switch, origin)] = AdjacencyEntry(
             switch=pkt_in.switch,
             neighbor=origin,
@@ -360,29 +366,36 @@ class Controller:
     # -- paths and rules ---------------------------------------------------
 
     def compute_path(self, src, dst):
-        """Shortest discovered switch path, fewest hops, lowest index on ties."""
+        """Shortest discovered switch path, fewest hops, lowest index on ties.
+
+        One breadth-first parent table per source serves every destination
+        until discovery adds an edge; the full search assigns each switch
+        the parent a search stopping at `dst` would, so paths are the same.
+        """
         if src == dst:
             return [src]
-        neighbors = {}
-        for s, n in self.adjacency:
-            neighbors.setdefault(s, []).append(n)
-        for s in neighbors:
-            neighbors[s].sort(key=lambda node: node.index)
-        parent = {src: None}
-        queue = deque([src])
-        while queue:
-            here = queue.popleft()
-            for nxt in neighbors.get(here, ()):
-                if nxt in parent:
-                    continue
-                parent[nxt] = here
-                if nxt == dst:
-                    path = [nxt]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    return path[::-1]
-                queue.append(nxt)
-        raise NoPath(f"no discovered path {src} -> {dst}")
+        parent = self._parents.get(src)
+        if parent is None:
+            if self._neighbors is None:
+                self._neighbors = {}
+                for s, n in self.adjacency:
+                    self._neighbors.setdefault(s, []).append(n)
+                for s in self._neighbors:
+                    self._neighbors[s].sort(key=lambda node: node.index)
+            parent = self._parents[src] = {src: None}
+            queue = deque([src])
+            while queue:
+                here = queue.popleft()
+                for nxt in self._neighbors.get(here, ()):
+                    if nxt not in parent:
+                        parent[nxt] = here
+                        queue.append(nxt)
+        if dst not in parent:
+            raise NoPath(f"no discovered path {src} -> {dst}")
+        path = [dst]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        return path[::-1]
 
     def install_path(self, path, client_ip, ingress_port, rec):
         """Flow rules steering one client's packets to `rec` and back.

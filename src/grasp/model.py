@@ -245,7 +245,11 @@ def topology_from_dict(data):
         return NodeId(SWITCH, index_of[name])
 
     def claim_port(switch, port, where):
-        _require(isinstance(port, int) and port > 0, where, f"port must be a positive integer, got {port!r}")
+        _require(
+            isinstance(port, int) and not isinstance(port, bool) and port > 0,
+            where,
+            f"port must be a positive integer, got {port!r}",
+        )
         _require((switch, port) not in used_ports, where, f"port {port} on {names[switch.index]!r} used twice")
         used_ports.add((switch, port))
 

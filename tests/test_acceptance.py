@@ -10,6 +10,7 @@ import re
 import time
 
 import numpy as np
+import pytest
 
 from grasp.cli import main as cli_main
 from grasp.datafiles import data_path
@@ -182,27 +183,47 @@ def test_criterion_7_idle_timeout_from_trace():
     )
 
 
-def test_criterion_8_protocol_fast_cross_check(site_profiles):
-    # the bundled 24 h scenario's workload, run for a week
-    scenario_path = data_path("scenario_geni_24h.json")
-    hours = 168
+def protocol_matches_fast(site_profiles, hours, report_period):
+    """Per policy, whether the bundled 24 h scenario's workload, run in
+    protocol mode for `hours`, delivers the same per-hour, per-DC jobs that
+    fast mode places."""
     results = {}
     for sched in ("green_aware", "round_robin"):
-        scen = json.load(open(scenario_path))
+        scen = json.load(open(data_path("scenario_geni_24h.json")))
         scen["config"]["scheduler"] = sched
+        scen["config"]["report_period"] = report_period
         scen["horizon"] = hours * 3600.0
         rep = run_scenario(scen, base_dir=data_path(), seed=0)
         hourly = np.zeros((hours, 9), dtype=np.int64)
-        for line in rep.trace:
-            m = re.match(r"t=([0-9.]+) ev=deliver flow=\S+ dc=d(\d+)", line)
-            if m:
-                hourly[int(float(m.group(1)) // 3600.0), int(m.group(2))] += 1
+        for _, dc_id, t in rep.deliveries:
+            hourly[int(t // 3600.0), dc_id] += 1
         fast = run_year(site_profiles, sched, 1.0, 12, hours=hours)
         results[sched] = np.array_equal(hourly, fast.per_dc_load)
+    return results
+
+
+def test_criterion_8_protocol_fast_cross_check(site_profiles):
+    # the bundled 24 h scenario's workload, run for a week
+    hours = 168
+    results = protocol_matches_fast(site_profiles, hours, 60.0)
     check(
         results["green_aware"] and results["round_robin"],
         "criterion 8: %d h protocol run and fast mode place identical per-DC "
         "loads (green %s, round robin %s)" % (hours, results["green_aware"], results["round_robin"]),
+    )
+
+
+@pytest.mark.slow
+def test_criterion_8_year_protocol_fast_cross_check(site_profiles):
+    # the same workload for a whole year, energy reported hourly
+    hours = 8760
+    start = time.perf_counter()
+    results = protocol_matches_fast(site_profiles, hours, 3600.0)
+    check(
+        results["green_aware"] and results["round_robin"],
+        "criterion 8: %d h protocol run and fast mode place identical per-DC loads "
+        "(green %s, round robin %s, %.1f s)"
+        % (hours, results["green_aware"], results["round_robin"], time.perf_counter() - start),
     )
 
 

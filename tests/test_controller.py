@@ -87,6 +87,57 @@ def test_connect_installs_table_miss():
         controller.on_switch_connect(sw, [1], 0)
 
 
+def fresh_path(adjacency, src, dst):
+    """Breadth-first search from scratch, stopping at `dst`: the search the
+    controller's cached parent tables must agree with."""
+    if src == dst:
+        return [src]
+    neighbors = {}
+    for s, n in adjacency:
+        neighbors.setdefault(s, []).append(n)
+    parent, queue = {src: None}, [src]
+    for here in queue:
+        for nxt in sorted(neighbors.get(here, ()), key=lambda node: node.index):
+            if nxt not in parent:
+                parent[nxt] = here
+                if nxt == dst:
+                    path = [nxt]
+                    while parent[path[-1]] is not None:
+                        path.append(parent[path[-1]])
+                    return path[::-1]
+                queue.append(nxt)
+    return None
+
+
+def discover(controller, switch, port, origin_mac):
+    pkt = Packet("discover", origin_mac, BROADCAST_MAC, 0, 0, {"token": controller.discovery_token})
+    return controller.on_packet_in(PacketIn(switch, port, pkt))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 7),
+    steps=st.lists(st.tuples(st.booleans(), st.integers(0, 6), st.integers(0, 6)), max_size=40),
+)
+def test_cached_paths_follow_discovery(n, steps):
+    # discoveries interleaved with path queries: every answer equals a fresh search
+    controller = Controller(ControllerConfig(), seed=0)
+    nodes = [NodeId(SWITCH, i) for i in range(n)]
+    for i, sw in enumerate(nodes):
+        controller.on_switch_connect(sw, [1], 1000 + i)
+    for is_link, a, b in steps:
+        a, b = nodes[a % n], nodes[b % n]
+        if is_link and a != b:
+            discover(controller, a, 1 + b.index, 1000 + b.index)
+            continue
+        want = fresh_path(controller.adjacency, a, b)
+        if want is None:
+            with pytest.raises(NoPath):
+                controller.compute_path(a, b)
+        else:
+            assert controller.compute_path(a, b) == want
+
+
 def test_connect_refloods_existing_switches():
     topo = line_topology()
     controller = Controller(ControllerConfig(), seed=0)

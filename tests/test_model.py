@@ -129,6 +129,11 @@ def broken(mutate):
         lambda d: d["clients"][0].pop("port"),
         lambda d: d["clients"][0].__setitem__("switch", ["left"]),
         lambda d: d["links"].append({"a": {}, "a_port": 4, "b": "left", "b_port": 5}),
+        # a bool is not a port, even where port 1 is free
+        lambda d: (
+            d["switches"].append("spare"),
+            d["datacenters"].append({"name": "dc_c", "switch": "spare", "port": True}),
+        ),
     ],
 )
 def test_topology_rejects(mutate):

@@ -1,9 +1,13 @@
 import contextlib
+import heapq
 import io
 import json
+import math
 import numbers
 import os
 import tempfile
+import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +18,8 @@ from grasp.controller import FlowMod, Packet
 from grasp.datafiles import data_path
 from grasp.errors import GraspError, ScriptError
 from grasp.model import NodeId, SWITCH
-from grasp.netsim import FlowTable, load_scenario, run_scenario
+from grasp import netsim
+from grasp.netsim import FlowTable, Simulation, idle_deadline, load_scenario, run_scenario
 
 SW = NodeId(SWITCH, 0)
 
@@ -104,7 +109,7 @@ def test_scenario_counts(geni_hour):
     assert rep.per_dc_jobs.tolist() == [2, 1, 1, 1, 1, 1, 1, 1, 1]
     assert rep.auth_failures == 0
     assert len(rep.deliveries) == 10
-    assert [f for f, _ in rep.deliveries[:3]] == ["f1", "f3", "f5"]
+    assert [f for f, _, _ in rep.deliveries[:3]] == ["f1", "f3", "f5"]
     assert rep.dc_names[0] == "elmira_corning_regional"
 
 
@@ -170,7 +175,7 @@ def test_inline_scenario_fast_path():
     # one register, one request; the data packets ride the installed rule
     assert rep.packet_in_count == 2
     assert rep.per_dc_jobs.tolist() == [1]
-    assert rep.deliveries == [("t1", 0)]
+    assert rep.deliveries == [("t1", 0, 2.0)]
     responses = [p for p in rep.client_rx["cl"] if p.kind == "response"]
     assert len(responses) == 1
 
@@ -214,7 +219,7 @@ def test_staggered_switch_connect_still_discovers():
     }
     rep = run_scenario(scen, seed=0)
     assert rep.per_dc_jobs.tolist() == [1]
-    assert rep.deliveries == [("x", 0)]
+    assert rep.deliveries == [("x", 0, 8.0)]
 
 
 @pytest.mark.parametrize(
@@ -307,7 +312,7 @@ def test_scenario_packet_in_formula(geni_hour):
     rep = geni_hour
     registrations = sum(1 for line in rep.trace if "ev=register " in line)
     receipts = sum(1 for line in rep.trace if "kind=discover" in line)
-    flows = len({f for f, _ in rep.deliveries})
+    flows = len({f for f, _, _ in rep.deliveries})
     assert rep.packet_in_count == registrations + receipts + flows
 
 
@@ -360,3 +365,177 @@ def test_fuzzed_scenarios_fail_cleanly(data):
             json.dump(scen, fh)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert cli_main(["scenario", "--scenario", path]) in (0, 1, 2)
+
+
+class EverySecond(Simulation):
+    """The per-second loop that lazy deadlines replace: at every whole second
+    below the horizon, before any event of that instant, sweep every flow
+    table in switch order, then end the hour on a boundary."""
+
+    def _sweep(self, now):
+        for table in self.tables.values():
+            table.expire(now)
+        if now % 3600.0 == 0:
+            self.controller.on_hour(int(now // 3600.0), now=now)
+
+    def run(self, horizon):
+        self.horizon = float(horizon)
+        handlers = self._handlers()
+        tick = 1.0
+        while self._heap and self._heap[0][0] < self.horizon:
+            now, _, kind, payload = heapq.heappop(self._heap)
+            while tick <= now:
+                self._sweep(tick)
+                tick += 1.0
+            handlers[kind](now, payload)
+        while tick < self.horizon:
+            self._sweep(tick)
+            tick += 1.0
+
+
+def run_every_second(scen, seed=0):
+    with mock.patch.object(netsim, "Simulation", EverySecond):
+        return run_scenario(scen, seed=seed)
+
+
+def same_run(a, b):
+    return (a.trace, a.snapshots, a.deliveries, a.client_rx) == (b.trace, b.snapshots, b.deliveries, b.client_rx)
+
+
+def first_due_second(last_hit, timeout, horizon):
+    t = 1.0
+    while t < horizon:
+        if t - last_hit >= timeout:
+            return t
+        t += 1.0
+    return math.inf
+
+
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.3, 1.7, 1e-300, 2.0**52, 2.0**53, 1e17, 1e30, -1e30])
+
+
+# last_hit and timeout that nearly cancel past 2**53, where last_hit + timeout
+# can round up past the first due second: -(2**53 + 2) and 2**53 + 4 are due at 1
+CANCELLING = st.builds(
+    lambda x, k: (-x, x + k * math.ulp(x)), st.integers(2**53, 2**56).map(float), st.integers(1, 8)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    hit_and_timeout=st.tuples(
+        st.floats(-1e31, 60.0) | EDGE_FLOATS | EDGE_FLOATS.map(lambda x: -x),
+        st.floats(1e-300, 1e31) | EDGE_FLOATS.filter(lambda x: x > 0),
+    ) | CANCELLING,
+    horizon=st.floats(0.5, 60.0),
+)
+def test_idle_deadline_is_first_due_second(hit_and_timeout, horizon):
+    last_hit, timeout = hit_and_timeout
+    assert idle_deadline(last_hit, timeout, horizon) == first_due_second(last_hit, timeout, horizon)
+
+
+def test_idle_deadline_terminates_at_any_magnitude():
+    # t - 1.0 == t past 2**53, so stepping down one second at a time would spin
+    assert idle_deadline(0.0, 1e17, 2.0**60) == math.inf
+    assert idle_deadline(0.0, 1e17, 40.0) == math.inf
+    # -1e30 one ulp (2**47) below the timeout: due only once t - last_hit rounds
+    # up past the half-ulp tie, more than 7e13 seconds from ceil(last_hit + timeout)
+    timeout = math.nextafter(1e30, math.inf)
+    t = idle_deadline(-1e30, timeout, 1e300)
+    assert t == 2.0**46 + 1 and t + 1e30 >= timeout and not (t - 1) + 1e30 >= timeout
+    assert idle_deadline(0.0, 2.0**51 + 0.5, 2.0**60) == 2.0**51 + 1
+    assert idle_deadline(0.0, 2.0**53 - 1, 2.0**60) == 2.0**53 - 1
+    assert idle_deadline(0.0, 2.0**53, 2.0**60) == math.inf  # no tick at 2**53
+    assert idle_deadline(2.5, 2.0, 5.0) == math.inf  # due at 5, the horizon: never armed
+    assert idle_deadline(2.5, 2.0, 5.5) == 5.0
+
+
+def test_huge_idle_timeout_finishes_at_once():
+    scen = tiny_scenario(config={"flow_idle_timeout": 1e17}, horizon=3700.0)
+    start = time.perf_counter()
+    rep = run_scenario(scen, seed=0)
+    took = time.perf_counter() - start
+    assert took < 0.5
+    assert same_run(rep, run_every_second(scen))
+    assert not any("ev=expire" in line for line in rep.trace)
+    assert "t=3600.000 ev=hour_reset hour=1" in rep.trace
+
+
+def test_rules_installed_before_time_zero_expire_every_second_alike():
+    traces = []
+    for cls in (Simulation, EverySecond):
+        topology, config, *_ = load_scenario(tiny_scenario())
+        sim = cls(topology, config)
+        for src, (last_hit, timeout) in enumerate([(-5.0, 2.0), (-0.5, 2.0), (-1.0, 2.0), (-2.5, 0.3), (-1e30, 1.0)]):
+            sim.tables[SW].install(mod(src=src + 1, timeout=timeout), now=last_hit)
+        sim.run(6.0)
+        traces.append(sim.trace)
+    assert traces[0] == traces[1]
+    assert [line.split(" match=")[1] for line in traces[0] if line.startswith("t=1.000 ev=expire")] == [
+        "0.0.0.1->*", "0.0.0.3->*", "0.0.0.4->*", "0.0.0.5->*",
+    ]
+    assert "t=2.000 ev=expire sw=s0 match=0.0.0.2->*" in traces[0]
+
+
+def near_second(seconds):
+    """A whole second, or one ulp either side of it (not below 0)."""
+    return st.builds(
+        lambda n, side: n if side == 0 else abs(math.nextafter(n, side * math.inf)),
+        seconds, st.sampled_from([-1, 0, 1]),
+    )
+
+
+# 2.7 + 0.3 rounds to 3.0, yet 3.0 - 2.7 < 0.3: such a rule is due at 4, not at ceil
+TIMES = near_second(st.integers(0, 9).map(float) | st.integers(3597, 3601).map(float)) | st.sampled_from([0.5, 2.7, 5.7])
+
+
+@st.composite
+def small_scenarios(draw):
+    horizon = draw(st.sampled_from([6.0, 9.5, 12.0, 3601.0, 3602.5]))
+    flows = []
+    for i in range(draw(st.integers(0, 4))):
+        open_at = draw(TIMES)
+        data_at = sorted(t for t in draw(st.lists(TIMES, max_size=3)) if t >= open_at)
+        flows.append({"id": "f%d" % i, "open_at": open_at, "data_at": data_at})
+    return {
+        "topology": {
+            "switches": ["s", "t"],
+            "links": [{"a": "s", "a_port": 9, "b": "t", "b_port": 9}],
+            "datacenters": [{"name": "dc", "switch": "t", "port": 1}],
+            "clients": [{"name": "cl", "switch": "s", "port": 2}, {"name": "c2", "switch": "t", "port": 3}],
+        },
+        "config": {
+            "flow_idle_timeout": draw(st.sampled_from([0.3, 1.7, 2.0, 1.0, 0.999999, 5e-324])),
+            "report_period": draw(st.sampled_from([1.0, 2.5, 3600.0])),
+        },
+        "horizon": horizon,
+        "agents": [{"dc": "dc", "register_at": draw(TIMES), "respond": draw(st.booleans()),
+                    "profile": {"shape": "constant", "peak_wh": 4.0}}],
+        "clients": [{"client": draw(st.sampled_from(["cl", "c2"])), "flows": flows}],
+        "snapshot_times": draw(st.lists(TIMES, max_size=3)),
+        "switch_connects": [
+            {"switch": "s", "at": draw(st.sampled_from([-3.0, 0.0]) | TIMES)},
+            {"switch": "t", "at": draw(st.sampled_from([-1.5, 0.0]) | TIMES)},
+        ],
+    }
+
+
+@settings(max_examples=120, deadline=None)
+@given(scen=small_scenarios())
+def test_lazy_ticks_match_every_second_sweep(scen):
+    assert same_run(run_scenario(scen, seed=0), run_every_second(scen))
+
+
+def test_rate_flows_stop_at_the_horizon():
+    scen = tiny_scenario(horizon=1.0)
+    scen["clients"] = [{"client": "cl", "rate_per_hour": 100000, "hours": [0, 5, 9], "data_packets": 3}]
+    start = time.perf_counter()
+    flows = load_scenario(scen)[3]
+    rep = run_scenario(scen, seed=0)
+    assert time.perf_counter() - start < 0.5
+    assert len(flows) == 27  # (i + 1) * 3600 / 100001 < 1 for i < 27
+    assert all(f.open_at < 1.0 and all(t < 1.0 for t in f.data_at) for f in flows)
+    assert {f for f, _, _ in rep.deliveries} <= {f.flow_id for f in flows}
+    # the flows that do start are the ones an unbounded horizon starts first
+    longer = load_scenario(dict(scen, horizon=3600.0))[3]
+    assert [(f.flow_id, f.open_at) for f in flows] == [(f.flow_id, f.open_at) for f in longer[:27]]
