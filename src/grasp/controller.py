@@ -149,7 +149,6 @@ class Controller:
         self._parents = {}  # source switch -> its breadth-first parent table
         self.dcs = []  # dc_id -> DataCenterRecord
         self.dcs_by_ip = {}
-        self.latest_report = {}  # dc_id -> values dict
         self.sched = SchedulerState.empty(config.job_energy_wh)
         self.decide = get_scheduler(config.scheduler)
         self.packet_in_count = 0
@@ -313,7 +312,6 @@ class Controller:
         ):
             self._log(now, "ev=drop reason=bad_report dc=d%d" % rec.dc_id)
             return ControllerResponse(dropped="bad_report")
-        self.latest_report[rec.dc_id] = dict(values)
         if GREEN_ENERGY_PARAM in values:
             self.sched.energy_wh[rec.dc_id] = float(values[GREEN_ENERGY_PARAM])
             self._log(

@@ -1,36 +1,46 @@
 """Deterministic discrete-event simulation of the data plane.
 
 Switches hold flow tables with idle timeouts, links are lossless and
-zero-latency, and every behavior is driven off one event heap ordered by
-(time, insertion sequence), so a scenario with the same seed replays
-byte-identically.  The run loop itself fires the timer tick, but only at
-whole simulated seconds with work: a flow table due to expire a rule, or an
-hour boundary.  The tables share one heap of (tick, switch index) idle
-deadlines (lazy deadlines, after Varghese and Lauck's timing wheels, with
-OpenFlow idle-timeout semantics), so a quiet network costs nothing per
-simulated second.  Before the loop handles an event at time t it runs
-every due tick at or before t, in the order a sweep of every table at
-every whole second would.  Over a year of the 24 h demo's workload it
-places the same jobs per hour and data center as fast mode.
+zero-latency, and every event runs in (time, insertion order), so a
+scenario with the same seed replays byte-identically.  Events wait on one
+heap, except those scheduled for the instant being handled (the
+zero-latency hops): they join a first-in, first-out queue, which the loop
+drains after the heap's entries of that instant.  A flow table is indexed
+by (priority, match), so a lookup probes at most four keys per priority,
+and it keeps per idle timeout a lower bound on its rules' last hits, so a
+lookup scans for expired rules only when one can be due.
+
+The run loop itself fires the timer tick, but only at whole simulated
+seconds with work: a flow table due to expire a rule, or an hour boundary.
+The tables share one heap of (tick, switch index) idle deadlines (lazy
+deadlines, after Varghese and Lauck's timing wheels, with OpenFlow
+idle-timeout semantics), so a quiet network costs nothing per simulated
+second.  Before the loop handles an event at time t it runs every due tick
+at or before t, in the order a sweep of every table at every whole second
+would.  Over a year of the 24 h demo's workload it places the same jobs per
+hour and data center as fast mode.
 
 Scenario files are JSON: which topology and controller config to use,
 when data-center agents register (each backed by an energy profile), and
 the client workload as explicit flow-open times or a per-hour rate.
-Time 0 is midnight of hour 0.  An agent reports its energy first one
-`report_period` after its registration is acknowledged, so until then the
-controller scores every data center 0.
+Time 0 is midnight of hour 0, and the horizon is at most one profile year.
+An agent reports its energy first one `report_period` after its
+registration is acknowledged, so until then the controller scores every
+data center 0; a period too small to move the clock past a report's time
+is a ScriptError.
 """
 
 import heapq
 import itertools
 import math
 import os
-from dataclasses import dataclass, replace
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
 from .controller import SERVICE_IP, Controller, Packet, PacketIn, match_text
-from .energy import build_profile, load_profile_csv, parse_nsrdb_csv, synth_profile
+from .energy import HOURS_PER_YEAR, build_profile, load_profile_csv, parse_nsrdb_csv, synth_profile
 from .errors import ScriptError, ValidationError
 from .model import (
     DATACENTER,
@@ -46,6 +56,7 @@ from .model import (
 
 SECONDS_PER_HOUR = 3600.0
 LAST_TICK = 2**53  # past here whole seconds are no longer exact floats
+MAX_HORIZON = HOURS_PER_YEAR * SECONDS_PER_HOUR  # one profile year
 
 
 def idle_deadline(last_hit, timeout, horizon):
@@ -99,14 +110,11 @@ class Deadlines:
             heapq.heappush(self.heap, (tick, table.switch.index))
 
     def rearm(self, table):
-        """Arm `table` afresh from its rules, after it expired at `armed`."""
+        """Arm `table` afresh from its rules, after it expired at `armed`.
+        The deadline grows with last_hit, so each timeout's oldest last hit
+        is all that counts."""
         table.armed = math.inf
-        # the deadline grows with last_hit, so only each timeout's least recent rule counts
-        oldest = {}
-        for r in table.rules:
-            if r.idle_timeout > 0 and r.last_hit < oldest.get(r.idle_timeout, math.inf):
-                oldest[r.idle_timeout] = r.last_hit
-        for timeout, last_hit in oldest.items():
+        for timeout, last_hit in table.oldest.items():
             self.arm(table, idle_deadline(last_hit, timeout, self.horizon))
 
 
@@ -118,79 +126,96 @@ class FlowRule:
     actions: tuple
     idle_timeout: float  # 0 = permanent
     last_hit: float
-
-    def matches(self, packet):
-        if self.match_src is not None and self.match_src != packet.ip_src:
-            return False
-        if self.match_dst is not None and self.match_dst != packet.ip_dst:
-            return False
-        return True
+    installed: int  # install counter of its table: the earlier install wins a tie
 
 
 class FlowTable:
-    """One switch's rules.  Expired entries are removed before any lookup,
-    each with an `ev=expire` line on `trace`.  In a simulation, installs
-    also arm the table on the shared `deadlines`; a lookup hit arms
-    nothing, since it only moves a deadline later."""
+    """One switch's rules, keyed by (priority, match_src, match_dst) in
+    install order, so a lookup probes at most four keys per priority.
+
+    Expired entries are removed before any lookup, each with an `ev=expire`
+    line on `trace`.  `oldest` holds, per idle timeout, a lower bound on
+    its rules' last hit: installs and hits lower it where they are earlier,
+    and every scan makes it exact.  Since `now - last_hit` falls as
+    last_hit grows, `expire` scans only when a bound is due, which is exact
+    for calls at any times in any order.  In a simulation, installs also
+    arm the table on the shared `deadlines`; a lookup hit arms nothing,
+    since simulated time never runs back, so a hit only moves a deadline
+    later."""
 
     def __init__(self, switch=None, trace=None, deadlines=None):
         self.switch = switch
         self.trace = trace if trace is not None else []
-        self.rules = []
+        self.rules = {}
+        self.priorities = ()  # every priority ever installed, highest first
+        self.oldest = {}  # idle timeout -> lower bound on its rules' last_hit
         self.deadlines = deadlines
         self.armed = math.inf
+        self._installs = itertools.count()
 
     def install(self, mod, now):
-        """Install a rule from a FlowMod; same (priority, match) replaces."""
-        self.rules = [
-            r
-            for r in self.rules
-            if not (
-                r.priority == mod.priority
-                and r.match_src == mod.match_src
-                and r.match_dst == mod.match_dst
-            )
-        ]
-        self.rules.append(
-            FlowRule(
-                priority=mod.priority,
-                match_src=mod.match_src,
-                match_dst=mod.match_dst,
-                actions=mod.actions,
-                idle_timeout=mod.idle_timeout,
-                last_hit=now,
-            )
+        """Install a rule from a FlowMod; same (priority, match) replaces,
+        and the new rule counts as installed last."""
+        key = (mod.priority, mod.match_src, mod.match_dst)
+        self.rules.pop(key, None)
+        self.rules[key] = FlowRule(
+            mod.priority, mod.match_src, mod.match_dst, mod.actions, mod.idle_timeout, now, next(self._installs)
         )
-        if mod.idle_timeout > 0 and self.deadlines is not None:
-            self.deadlines.arm(self, idle_deadline(now, mod.idle_timeout, self.deadlines.horizon))
+        if mod.priority not in self.priorities:
+            self.priorities = tuple(sorted((*self.priorities, mod.priority), reverse=True))
+        timeout = mod.idle_timeout
+        if timeout > 0:
+            if now < self.oldest.get(timeout, math.inf):
+                self.oldest[timeout] = now
+            if self.deadlines is not None:
+                self.deadlines.arm(self, idle_deadline(now, timeout, self.deadlines.horizon))
 
     def expire(self, now):
         """Drop every rule idle for at least its timeout; returns them."""
-        dead = [r for r in self.rules if r.idle_timeout > 0 and now - r.last_hit >= r.idle_timeout]
-        if dead:
-            self.rules = [r for r in self.rules if not (r.idle_timeout > 0 and now - r.last_hit >= r.idle_timeout)]
-            for rule in dead:
-                self.trace.append(
-                    "t=%.3f ev=expire sw=%s match=%s" % (now, self.switch, match_text(rule.match_src, rule.match_dst))
-                )
+        for timeout, last_hit in self.oldest.items():
+            if now - last_hit >= timeout:
+                break
+        else:
+            return []
+        dead, oldest = [], {}
+        for r in self.rules.values():
+            timeout = r.idle_timeout
+            if timeout > 0:
+                if now - r.last_hit >= timeout:
+                    dead.append(r)
+                elif r.last_hit < oldest.get(timeout, math.inf):
+                    oldest[timeout] = r.last_hit
+        self.oldest = oldest
+        for rule in dead:
+            del self.rules[rule.priority, rule.match_src, rule.match_dst]
+            self.trace.append(
+                "t=%.3f ev=expire sw=%s match=%s" % (now, self.switch, match_text(rule.match_src, rule.match_dst))
+            )
         return dead
 
     def lookup(self, packet, now):
         """Best live match: highest priority, earliest installed on ties."""
         self.expire(now)
-        best = None
-        for rule in self.rules:
-            if rule.matches(packet) and (best is None or rule.priority > best.priority):
-                best = rule
-        if best is not None:
-            best.last_hit = now
-        return best
+        rules, src, dst = self.rules, packet.ip_src, packet.ip_dst
+        for p in self.priorities:
+            best = None
+            for key in ((p, src, dst), (p, src, None), (p, None, dst), (p, None, None)):
+                rule = rules.get(key)
+                if rule is not None and (best is None or rule.installed < best.installed):
+                    best = rule
+            if best is not None:
+                best.last_hit = now
+                timeout = best.idle_timeout
+                if timeout > 0 and now < self.oldest[timeout]:  # a hit earlier than the bound
+                    self.oldest[timeout] = now
+                return best
+        return None
 
     def dump(self):
         lines = [
             "prio=%d match=%s idle=%g last_hit=%.3f"
             % (r.priority, match_text(r.match_src, r.match_dst), r.idle_timeout, r.last_hit)
-            for r in self.rules
+            for r in self.rules.values()
         ]
         return sorted(lines)
 
@@ -232,16 +257,16 @@ class Simulation:
         self.config = config
         self.trace = []
         self.controller = Controller(config, seed=seed, trace=self.trace)
-        self.tables = {}
-        self.ports = {}
         self._deadlines = Deadlines()
-        for i in range(len(topology.switch_names)):
-            sw = NodeId(SWITCH, i)
-            self.tables[sw] = FlowTable(sw, self.trace, self._deadlines)
-            self.ports[sw] = topology.ports(sw)
-        self._by_index = list(self.tables.values())
+        # by switch index, so the per-packet path hashes no NodeId
+        switches = [NodeId(SWITCH, i) for i in range(len(topology.switch_names))]
+        self._by_index = [FlowTable(sw, self.trace, self._deadlines) for sw in switches]
+        self._ports = [topology.ports(sw) for sw in switches]
+        self.tables = {table.switch: table for table in self._by_index}
         self._heap = []  # (time, insertion order, kind, payload)
         self._order = itertools.count()
+        self._now = None  # the instant `run` is handling
+        self._fifo = deque()  # (kind, payload) scheduled at `_now`, in order
         self._agents = {}  # dc NodeId -> agent runtime state
         self.deliveries = []
         self.client_rx = {a.name: [] for a in topology.clients}
@@ -249,7 +274,12 @@ class Simulation:
         self.horizon = 0.0
 
     def schedule(self, time, kind, payload=None):
-        heapq.heappush(self._heap, (time, next(self._order), kind, payload))
+        """Queue an event.  One at the instant being handled (a zero-latency
+        hop) joins the same-instant FIFO; the rest go on the heap."""
+        if time == self._now:
+            self._fifo.append((kind, payload))
+        else:
+            heapq.heappush(self._heap, (time, next(self._order), kind, payload))
 
     def _handlers(self):
         """Event kind -> handler.  Built for each run and not kept, so no
@@ -271,16 +301,16 @@ class Simulation:
     # -- event handlers ----------------------------------------------------
 
     def _connect(self, now, switch):
-        ports = sorted(self.ports[switch])
+        ports = sorted(self._ports[switch.index])
         mac = self.topology.addresses[switch].mac
         resp = self.controller.on_switch_connect(switch, ports, mac, now=now)
         self._apply(resp, now)
 
     def _apply(self, resp, now):
         for mod in resp.flow_mods:
-            self.tables[mod.switch].install(mod, now)
+            self._by_index[mod.switch.index].install(mod, now)
         for out in resp.packets:
-            peer = self.ports[out.switch].get(out.port)
+            peer = self._ports[out.switch.index].get(out.port)
             if peer is None:
                 self.trace.append(
                     "t=%.3f ev=drop reason=bad_port sw=%s port=%d" % (now, out.switch, out.port)
@@ -311,7 +341,7 @@ class Simulation:
             self.client_rx[self._attachment(node).name].append(packet)
 
     def _switch_rx(self, now, switch, in_port, packet):
-        rule = self.tables[switch].lookup(packet, now)
+        rule = self._by_index[switch.index].lookup(packet, now)
         if rule is None:
             # not connected yet: no table-miss rule, so the packet dies here
             self.trace.append("t=%.3f ev=drop reason=no_rule sw=%s" % (now, switch))
@@ -323,11 +353,11 @@ class Simulation:
             return
         for action in rule.actions:
             if action[0] == "set_eth_dst":
-                packet = replace(packet, eth_dst=action[1])
+                packet = Packet(packet.kind, packet.eth_src, action[1], packet.ip_src, packet.ip_dst, packet.payload)
             elif action[0] == "set_ip_dst":
-                packet = replace(packet, ip_dst=action[1])
+                packet = Packet(packet.kind, packet.eth_src, packet.eth_dst, packet.ip_src, action[1], packet.payload)
             elif action[0] == "output":
-                peer = self.ports[switch].get(action[1])
+                peer = self._ports[switch.index].get(action[1])
                 if peer is None:
                     self.trace.append(
                         "t=%.3f ev=drop reason=bad_port sw=%s port=%d" % (now, switch, action[1])
@@ -344,9 +374,7 @@ class Simulation:
             agent["dc_id"] = packet.payload["dc_id"]
             agent["passcode"] = packet.payload["passcode"]
             agent["period"] = float(packet.payload["report_period"])
-            next_report = now + agent["period"]
-            if next_report < self.horizon:
-                self.schedule(next_report, "agent_report", node)
+            self._schedule_report(now, node, agent["period"])
         elif packet.kind == "request":
             dc_id = agent["dc_id"]
             flow_id = str(packet.payload.get("flow_id", ""))
@@ -368,7 +396,12 @@ class Simulation:
         hour = int(now // SECONDS_PER_HOUR) % len(agent["script"].profile.wh)
         values = {"green_energy_wh": float(agent["script"].profile.wh[hour])}
         self._emit_from_host(now, node, "report", {"passcode": agent["passcode"], "values": values})
-        next_report = now + agent["period"]
+        self._schedule_report(now, node, agent["period"])
+
+    def _schedule_report(self, now, node, period):
+        next_report = now + period
+        if next_report <= now:  # a period this small would report at `now` forever
+            raise ScriptError(f"report_period {period!r} does not move the clock past t={now!r}")
         if next_report < self.horizon:
             self.schedule(next_report, "agent_report", node)
 
@@ -394,43 +427,56 @@ class Simulation:
     # -- main loop -----------------------------------------------------------
 
     def run(self, horizon):
-        """Handle every event before `horizon`, with a tick at each whole
-        second in (0, horizon) where a table is due or an hour ends; a tick
-        runs before any event of its instant.  The next due tick is found
-        again after every event, since an event may arm an earlier one."""
+        """Handle every event before `horizon` in (time, schedule order),
+        with a tick at each whole second in (0, horizon) where a table is
+        due or an hour ends; a tick runs before any event of its instant.
+
+        Events of the instant being handled drain the heap's entries first,
+        then the FIFO: every heap entry of that instant was scheduled before
+        the instant began, and every FIFO entry after.  No tick falls due
+        meanwhile, since an install at `now` arms a deadline after `now`.
+        Otherwise the next due tick is found again after every event, since
+        an event may arm an earlier one.  Nothing is scheduled before the
+        instant being handled."""
         self.horizon = float(horizon)
         deadlines = self._deadlines
         deadlines.horizon = self.horizon
         tables = self._by_index
         for table in tables:  # rules installed before the run
             deadlines.rearm(table)
-        due, events, handlers = deadlines.heap, self._heap, self._handlers()
+        due, events, fifo, handlers = deadlines.heap, self._heap, self._fifo, self._handlers()
         hour = SECONDS_PER_HOUR
+        now = None
         while True:
-            while due and tables[due[0][1]].armed != due[0][0]:
-                heapq.heappop(due)
-            tick = min(due[0][0], hour) if due else hour
-            if tick < self.horizon and not (events and events[0][0] < tick):
-                self._tick(tick)
-                if tick == hour:
-                    hour += SECONDS_PER_HOUR
-            elif events and events[0][0] < self.horizon:
-                now, _, kind, payload = heapq.heappop(events)
-                handlers[kind](now, payload)
+            if fifo and not (events and events[0][0] <= now):
+                kind, payload = fifo.popleft()
             else:
-                break
+                while due and tables[due[0][1]].armed != due[0][0]:
+                    heapq.heappop(due)
+                tick = min(due[0][0], hour) if due else hour
+                if tick < self.horizon and not (events and events[0][0] < tick):
+                    self._tick(tick)
+                    if tick == hour:
+                        hour += SECONDS_PER_HOUR
+                    continue
+                if not (events and events[0][0] < self.horizon):
+                    break
+                now, _, kind, payload = heapq.heappop(events)
+                self._now = now
+            handlers[kind](now, payload)
+        self._now = None
 
     def report(self):
         dc_ids = np.array([dc_id for _, dc_id, _ in self.deliveries], dtype=np.int64)
         return SimReport(
             per_dc_jobs=np.bincount(dc_ids, minlength=len(self.controller.dcs)),
             dc_names=[rec.name for rec in self.controller.dcs],
-            deliveries=list(self.deliveries),
+            deliveries=self.deliveries,
             packet_in_count=self.controller.packet_in_count,
             auth_failures=self.controller.auth_failures,
-            trace=list(self.trace),
-            snapshots=dict(self.snapshots),
-            client_rx={k: list(v) for k, v in self.client_rx.items()},
+            trace=self.trace,
+            snapshots=self.snapshots,
+            client_rx=self.client_rx,
             controller=self.controller,
         )
 
@@ -516,8 +562,8 @@ def load_scenario(source, base_dir=None):
         raise ScriptError("config must be a path or object")
 
     horizon = _seconds(data.get("horizon", SECONDS_PER_HOUR), "horizon")
-    if horizon <= 0:
-        raise ScriptError(f"horizon must be a positive number, got {horizon!r}")
+    if not 0 < horizon <= MAX_HORIZON:
+        raise ScriptError(f"horizon must be positive and at most one profile year ({MAX_HORIZON:g} s), got {horizon!r}")
 
     dc_names = {a.name for a in topology.datacenters}
     agents = []

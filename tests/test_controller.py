@@ -227,7 +227,6 @@ def test_report_updates_energy():
     pkt = report_packet(topo, att.node, passcode, {"green_energy_wh": 42.5})
     controller.on_packet_in(PacketIn(att.switch, att.port, pkt))
     assert controller.sched.energy_wh.tolist() == [42.5]
-    assert controller.latest_report[0] == {"green_energy_wh": 42.5}
     assert controller.auth_failures == 0
 
 
@@ -259,7 +258,6 @@ def test_report_value_validation():
         assert controller.on_packet_in(PacketIn(att.switch, att.port, bad)).dropped == "bad_report", values
     # a NaN accepted here would win every later argmax and draw every job
     assert controller.sched.energy_wh.tolist() == [42.5]
-    assert controller.latest_report[0] == {"green_energy_wh": 42.5}
     assert controller.auth_failures == 0  # malformed values are not auth failures
 
 

@@ -10,11 +10,11 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grasp.cli import main as cli_main
-from grasp.controller import FlowMod, Packet
+from grasp.controller import FlowMod, Packet, match_text
 from grasp.datafiles import data_path
 from grasp.errors import GraspError, ScriptError
 from grasp.model import NodeId, SWITCH
@@ -58,7 +58,7 @@ def test_idle_timeout_arithmetic():
     assert live is not None
     # idle exactly the timeout: gone (2.5 + 2.0 = 4.5)
     assert table.lookup(pkt(src=1), 4.5) is None
-    assert table.rules == []
+    assert not table.rules
 
 
 def test_idle_timeout_boundary_is_inclusive():
@@ -93,6 +93,91 @@ def test_expire_traces_itself():
     assert trace == []
     table.expire(2.0)
     assert trace == ["t=2.000 ev=expire sw=s0 match=0.0.0.1->*"]
+
+
+class ListFlowTable:
+    """The list-scanning flow table the indexed one replaced: a replace
+    filters the list and appends, every call scans every rule."""
+
+    def __init__(self, trace):
+        self.trace = trace
+        self.rules = []
+
+    def install(self, mod, now):
+        key = (mod.priority, mod.match_src, mod.match_dst)
+        self.rules = [r for r in self.rules if (r[0], r[1], r[2]) != key]
+        self.rules.append([mod.priority, mod.match_src, mod.match_dst, mod.actions, mod.idle_timeout, now])
+
+    def expire(self, now):
+        dead = [r for r in self.rules if r[4] > 0 and now - r[5] >= r[4]]
+        self.rules = [r for r in self.rules if not (r[4] > 0 and now - r[5] >= r[4])]
+        for r in dead:
+            self.trace.append("t=%.3f ev=expire sw=%s match=%s" % (now, SW, match_text(r[1], r[2])))
+        return [tuple(r) for r in dead]
+
+    def lookup(self, packet, now):
+        self.expire(now)
+        best = None
+        for r in self.rules:
+            hit = r[1] in (None, packet.ip_src) and r[2] in (None, packet.ip_dst)
+            if hit and (best is None or r[0] > best[0]):
+                best = r
+        if best is not None:
+            best[5] = now
+        return best and tuple(best)
+
+    def dump(self):
+        line = "prio=%d match=%s idle=%g last_hit=%.3f"
+        return sorted(line % (r[0], match_text(r[1], r[2]), r[4], r[5]) for r in self.rules)
+
+
+def rule_fields(rule):
+    if rule is None:
+        return None
+    return (rule.priority, rule.match_src, rule.match_dst, rule.actions, rule.idle_timeout, rule.last_hit)
+
+
+# negative, out of order, and one ulp either side of where a 0.3 s or 2.0 s
+# idle timeout falls due
+TABLE_TIMES = st.builds(
+    lambda t, side: t if side == 0 else math.nextafter(t, side * math.inf),
+    st.sampled_from([-2.0, -0.3, -0.0, 0.0, 0.3, 0.6, 1.7, 2.0, 2.3, 2.6, 4.0, 4.3]),
+    st.sampled_from([-1, 0, 1]),
+)
+ADDRESS = st.sampled_from([None, 1, 2])
+
+
+@st.composite
+def table_ops(draw):
+    """Install, lookup and expire calls; installs reuse a few (priority,
+    src, dst) keys, so replacements are common."""
+    keys = draw(st.lists(st.tuples(st.sampled_from([0, 5, 10]), ADDRESS, ADDRESS), min_size=1, max_size=4))
+    install = st.tuples(st.just("install"), st.sampled_from(keys), st.sampled_from([0.0, 0.3, 2.0]),
+                        st.integers(1, 4), TABLE_TIMES)
+    lookup = st.tuples(st.just("lookup"), st.sampled_from([1, 2, 3]), st.sampled_from([1, 2, 3]), TABLE_TIMES)
+    return draw(st.lists(install | lookup | st.tuples(st.just("expire"), TABLE_TIMES), min_size=4, max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=table_ops())
+# a replaced rule expires after the rules installed before its replacement
+@example(ops=[("install", (10, 1, None), 0.3, 1, 0.0), ("install", (10, None, 1), 0.3, 1, 0.0),
+              ("install", (10, 1, None), 0.3, 2, 0.0), ("expire", 4.0)])
+def test_indexed_flow_table_matches_list_scan(ops):
+    table, oracle = FlowTable(SW, []), ListFlowTable([])
+    for op in ops:
+        if op[0] == "install":
+            _, (priority, src, dst), timeout, port, now = op
+            m = mod(priority=priority, src=src, dst=dst, port=port, timeout=timeout)
+            table.install(m, now)
+            oracle.install(m, now)
+        elif op[0] == "lookup":
+            _, src, dst, now = op
+            assert rule_fields(table.lookup(pkt(src, dst), now)) == oracle.lookup(pkt(src, dst), now)
+        else:
+            assert [rule_fields(r) for r in table.expire(op[1])] == oracle.expire(op[1])
+        assert table.trace == oracle.trace
+        assert table.dump() == oracle.dump()
 
 
 def scenario_path():
@@ -282,6 +367,8 @@ HOSTILE = {
     "horizon_inf": lambda s: s.__setitem__("horizon", INF),
     "horizon_nan": lambda s: s.__setitem__("horizon", NAN),
     "horizon_bool": lambda s: s.__setitem__("horizon", True),
+    "horizon_past_a_year": lambda s: s.__setitem__("horizon", 1e12),
+    "horizon_one_ulp_past_a_year": lambda s: s.__setitem__("horizon", math.nextafter(8760 * 3600.0, INF)),
     "weather_csv_not_path": lambda s: s["agents"][0].__setitem__("profile", {"weather_csv": 5}),
     "profile_csv_nul": lambda s: s["agents"][0].__setitem__("profile", {"profile_csv": "a\0b"}),
 }
@@ -298,6 +385,24 @@ def test_scenario_rejects_hostile_input(mutate, tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["scenario", "--scenario", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_horizon_of_one_profile_year_loads():
+    assert load_scenario(tiny_scenario(horizon=8760 * 3600.0))[-1] == 8760 * 3600.0
+
+
+def test_report_period_too_small_to_move_the_clock_fails_at_once(tmp_path, capsys):
+    # 0.5 + 1e-300 == 0.5: the agent would report at t=0.5 forever
+    scen = tiny_scenario(config={"report_period": 1e-300}, horizon=10.0)
+    start = time.perf_counter()
+    with pytest.raises(ScriptError, match="report_period"):
+        run_scenario(scen, seed=0)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scen))
+    capsys.readouterr()
+    assert cli_main(["scenario", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: report_period")
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("peak", ["x", -1.0, float("nan"), float("inf"), True, None])
@@ -370,7 +475,9 @@ def test_fuzzed_scenarios_fail_cleanly(data):
 class EverySecond(Simulation):
     """The per-second loop that lazy deadlines replace: at every whole second
     below the horizon, before any event of that instant, sweep every flow
-    table in switch order, then end the hour on a boundary."""
+    table in switch order, then end the hour on a boundary.  It leaves
+    `_now` unset, so every event, zero-latency hops too, goes through the
+    heap in (time, schedule order): an oracle for the same-instant FIFO."""
 
     def _sweep(self, now):
         for table in self.tables.values():
@@ -492,11 +599,14 @@ TIMES = near_second(st.integers(0, 9).map(float) | st.integers(3597, 3601).map(f
 @st.composite
 def small_scenarios(draw):
     horizon = draw(st.sampled_from([6.0, 9.5, 12.0, 3601.0, 3602.5]))
-    flows = []
-    for i in range(draw(st.integers(0, 4))):
-        open_at = draw(TIMES)
-        data_at = sorted(t for t in draw(st.lists(TIMES, max_size=3)) if t >= open_at)
-        flows.append({"id": "f%d" % i, "open_at": open_at, "data_at": data_at})
+    # several packets, from both clients, often share one instant
+    shared = draw(TIMES)
+    times = st.just(shared) | TIMES
+    flows = {"cl": [], "c2": []}
+    for i in range(draw(st.integers(0, 5))):
+        open_at = draw(times)
+        data_at = sorted(t for t in draw(st.lists(times, max_size=3)) if t >= open_at)
+        flows[draw(st.sampled_from(["cl", "c2"]))].append({"id": "f%d" % i, "open_at": open_at, "data_at": data_at})
     return {
         "topology": {
             "switches": ["s", "t"],
@@ -509,10 +619,10 @@ def small_scenarios(draw):
             "report_period": draw(st.sampled_from([1.0, 2.5, 3600.0])),
         },
         "horizon": horizon,
-        "agents": [{"dc": "dc", "register_at": draw(TIMES), "respond": draw(st.booleans()),
+        "agents": [{"dc": "dc", "register_at": draw(times), "respond": draw(st.booleans()),
                     "profile": {"shape": "constant", "peak_wh": 4.0}}],
-        "clients": [{"client": draw(st.sampled_from(["cl", "c2"])), "flows": flows}],
-        "snapshot_times": draw(st.lists(TIMES, max_size=3)),
+        "clients": [{"client": name, "flows": f} for name, f in flows.items()],
+        "snapshot_times": draw(st.lists(times, max_size=3)),
         "switch_connects": [
             {"switch": "s", "at": draw(st.sampled_from([-3.0, 0.0]) | TIMES)},
             {"switch": "t", "at": draw(st.sampled_from([-1.5, 0.0]) | TIMES)},
