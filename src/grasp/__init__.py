@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .energy import EnergyProfile, HOURS_PER_YEAR, build_profile, parse_nsrdb_csv, pv_output, synth_profile
 from .errors import GraspError, ParseError, ValidationError
-from .experiment import YearReport, green_jobs, run_year, sweep_k, sweep_load
+from .experiment import YearReport, run_year, sweep_k, sweep_load
 from .model import ControllerConfig, NodeId, Topology, load_config, load_topology
 from .scheduler import Decision, SchedulerState, green_aware_decide, reset_hour, round_robin_decide
 
@@ -29,7 +29,6 @@ __all__ = [
     "ParseError",
     "ValidationError",
     "YearReport",
-    "green_jobs",
     "run_year",
     "sweep_k",
     "sweep_load",

@@ -20,7 +20,6 @@ from .model import (
     AdjacencyEntry,
     DataCenterRecord,
     format_ip,
-    format_mac,
     parse_ip,
 )
 from .scheduler import SchedulerState, get_scheduler, reset_hour
@@ -105,35 +104,6 @@ def match_text(src, dst):
     return f"{left}->{right}"
 
 
-def _action_text(action):
-    if action[0] == "output":
-        return "output:%d" % action[1]
-    if action[0] == "controller":
-        return "controller"
-    if action[0] == "set_eth_dst":
-        return "set_eth_dst:" + format_mac(action[1])
-    if action[0] == "set_ip_dst":
-        return "set_ip_dst:" + format_ip(action[1])
-    return repr(action)
-
-
-def dump_flow_mods(mods):
-    """Stable text form of a rule list, for snapshots and goldens."""
-    lines = []
-    for mod in mods:
-        lines.append(
-            "sw=%s prio=%d match=%s idle=%g actions=%s"
-            % (
-                mod.switch,
-                mod.priority,
-                match_text(mod.match_src, mod.match_dst),
-                mod.idle_timeout,
-                ",".join(_action_text(a) for a in mod.actions),
-            )
-        )
-    return "\n".join(sorted(lines))
-
-
 class Controller:
     def __init__(self, config, seed=0, trace=None):
         self.config = config
@@ -202,7 +172,7 @@ class Controller:
 
     def on_hour(self, hour, now=0.0):
         """Hour boundary: jobs of the old hour are done, counters restart."""
-        reset_hour(self.sched, self.sched.energy_wh)
+        reset_hour(self.sched)
         self._log(now, "ev=hour_reset hour=%d" % hour)
 
     # -- packet-in dispatch ----------------------------------------------

@@ -29,11 +29,6 @@ class YearReport:
     r_avg: float
 
 
-def green_jobs(capacity_jobs, loads):
-    """Jobs covered by green energy: sum of min(capacity, load) per DC."""
-    return float(np.minimum(capacity_jobs, loads).sum())
-
-
 def run_year(profiles, scheduler="green_aware", job_energy_wh=1.0, jobs_per_hour=900, hours=None):
     """Replay one scheduler over hourly profiles and score every hour.
 

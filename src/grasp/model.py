@@ -152,12 +152,6 @@ class Topology:
         except ValueError:
             raise ValidationError("switch", f"unknown switch {name!r}") from None
 
-    def node_name(self, node):
-        if node.kind == SWITCH:
-            return self.switch_names[node.index]
-        group = self.datacenters if node.kind == DATACENTER else self.clients
-        return group[node.index].name
-
     def ports(self, switch):
         """Map port -> (peer node, peer port or None for hosts) on one switch."""
         table = {}
@@ -178,32 +172,6 @@ class Topology:
             pairs.add((link.a, link.b))
             pairs.add((link.b, link.a))
         return pairs
-
-    def to_dict(self):
-        def att_entry(att):
-            addr = self.addresses[att.node]
-            return {
-                "name": att.name,
-                "switch": self.switch_names[att.switch.index],
-                "port": att.port,
-                "ip": format_ip(addr.ip),
-                "mac": format_mac(addr.mac),
-            }
-
-        return {
-            "switches": list(self.switch_names),
-            "links": [
-                {
-                    "a": self.switch_names[l.a.index],
-                    "a_port": l.a_port,
-                    "b": self.switch_names[l.b.index],
-                    "b_port": l.b_port,
-                }
-                for l in self.links
-            ],
-            "datacenters": [att_entry(a) for a in self.datacenters],
-            "clients": [att_entry(a) for a in self.clients],
-        }
 
 
 def _require(condition, field_name, message):

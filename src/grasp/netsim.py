@@ -10,15 +10,15 @@ by (priority, match), so a lookup probes at most four keys per priority,
 and it keeps per idle timeout a lower bound on its rules' last hits, so a
 lookup scans for expired rules only when one can be due.
 
-The run loop itself fires the timer tick, but only at whole simulated
-seconds with work: a flow table due to expire a rule, or an hour boundary.
-The tables share one heap of (tick, switch index) idle deadlines (lazy
-deadlines, after Varghese and Lauck's timing wheels, with OpenFlow
-idle-timeout semantics), so a quiet network costs nothing per simulated
-second.  Before the loop handles an event at time t it runs every due tick
-at or before t, in the order a sweep of every table at every whole second
-would.  Over a year of the 24 h demo's workload it places the same jobs per
-hour and data center as fast mode.
+The timer ticks only at whole simulated seconds with work: a flow table due
+to expire a rule, or an hour boundary.  Each is an entry on the same heap,
+armed lazily from the rules' idle timeouts (after Varghese and Lauck's
+timing wheels, with OpenFlow idle-timeout semantics), so a quiet network
+costs nothing per simulated second.  A tick's entry sorts ahead of every
+event of its instant, tables in switch order and then the hour, which is
+the order a sweep of every table at every whole second would give.  Over a
+year of the 24 h demo's workload it places the same jobs per hour and data
+center as fast mode.
 
 Scenario files are JSON: which topology and controller config to use,
 when data-center agents register (each backed by an energy profile), and
@@ -91,33 +91,6 @@ def idle_deadline(last_hit, timeout, horizon):
     return float(hi) if hi < end else math.inf
 
 
-class Deadlines:
-    """The (tick, switch index) heap a simulation's flow tables share.
-
-    A table's `armed` tick is no later than the idle deadline of any of its
-    rules and has an entry here; entries whose tick is no longer their
-    table's `armed` are stale and skipped.  Ticks at or past the horizon
-    are never pushed.
-    """
-
-    def __init__(self):
-        self.heap = []
-        self.horizon = 0.0
-
-    def arm(self, table, tick):
-        if tick < table.armed:
-            table.armed = tick
-            heapq.heappush(self.heap, (tick, table.switch.index))
-
-    def rearm(self, table):
-        """Arm `table` afresh from its rules, after it expired at `armed`.
-        The deadline grows with last_hit, so each timeout's oldest last hit
-        is all that counts."""
-        table.armed = math.inf
-        for timeout, last_hit in table.oldest.items():
-            self.arm(table, idle_deadline(last_hit, timeout, self.horizon))
-
-
 @dataclass
 class FlowRule:
     priority: int
@@ -138,19 +111,15 @@ class FlowTable:
     its rules' last hit: installs and hits lower it where they are earlier,
     and every scan makes it exact.  Since `now - last_hit` falls as
     last_hit grows, `expire` scans only when a bound is due, which is exact
-    for calls at any times in any order.  In a simulation, installs also
-    arm the table on the shared `deadlines`; a lookup hit arms nothing,
-    since simulated time never runs back, so a hit only moves a deadline
-    later."""
+    for calls at any times in any order.  The table is plain data: it holds
+    no reference to a simulation, which arms its expiry ticks."""
 
-    def __init__(self, switch=None, trace=None, deadlines=None):
+    def __init__(self, switch=None, trace=None):
         self.switch = switch
         self.trace = trace if trace is not None else []
         self.rules = {}
         self.priorities = ()  # every priority ever installed, highest first
         self.oldest = {}  # idle timeout -> lower bound on its rules' last_hit
-        self.deadlines = deadlines
-        self.armed = math.inf
         self._installs = itertools.count()
 
     def install(self, mod, now):
@@ -164,11 +133,8 @@ class FlowTable:
         if mod.priority not in self.priorities:
             self.priorities = tuple(sorted((*self.priorities, mod.priority), reverse=True))
         timeout = mod.idle_timeout
-        if timeout > 0:
-            if now < self.oldest.get(timeout, math.inf):
-                self.oldest[timeout] = now
-            if self.deadlines is not None:
-                self.deadlines.arm(self, idle_deadline(now, timeout, self.deadlines.horizon))
+        if timeout > 0 and now < self.oldest.get(timeout, math.inf):
+            self.oldest[timeout] = now
 
     def expire(self, now):
         """Drop every rule idle for at least its timeout; returns them."""
@@ -257,12 +223,11 @@ class Simulation:
         self.config = config
         self.trace = []
         self.controller = Controller(config, seed=seed, trace=self.trace)
-        self._deadlines = Deadlines()
         # by switch index, so the per-packet path hashes no NodeId
         switches = [NodeId(SWITCH, i) for i in range(len(topology.switch_names))]
-        self._by_index = [FlowTable(sw, self.trace, self._deadlines) for sw in switches]
+        self.tables = [FlowTable(sw, self.trace) for sw in switches]
         self._ports = [topology.ports(sw) for sw in switches]
-        self.tables = {table.switch: table for table in self._by_index}
+        self._armed = [math.inf] * len(switches)  # each table's pending expiry tick
         self._heap = []  # (time, insertion order, kind, payload)
         self._order = itertools.count()
         self._now = None  # the instant `run` is handling
@@ -296,6 +261,8 @@ class Simulation:
                 now, flow[0], "data", {"flow_id": flow[1]}, ip_dst=SERVICE_IP
             ),
             "snapshot": self._snapshot,
+            "expire": self._expire,
+            "hour": self._hour,
         }
 
     # -- event handlers ----------------------------------------------------
@@ -308,7 +275,10 @@ class Simulation:
 
     def _apply(self, resp, now):
         for mod in resp.flow_mods:
-            self._by_index[mod.switch.index].install(mod, now)
+            i = mod.switch.index
+            self.tables[i].install(mod, now)
+            if mod.idle_timeout > 0:
+                self._arm(i, idle_deadline(now, mod.idle_timeout, self.horizon))
         for out in resp.packets:
             peer = self._ports[out.switch.index].get(out.port)
             if peer is None:
@@ -341,7 +311,7 @@ class Simulation:
             self.client_rx[self._attachment(node).name].append(packet)
 
     def _switch_rx(self, now, switch, in_port, packet):
-        rule = self._by_index[switch.index].lookup(packet, now)
+        rule = self.tables[switch.index].lookup(packet, now)
         if rule is None:
             # not connected yet: no table-miss rule, so the packet dies here
             self.trace.append("t=%.3f ev=drop reason=no_rule sw=%s" % (now, switch))
@@ -405,23 +375,44 @@ class Simulation:
         if next_report < self.horizon:
             self.schedule(next_report, "agent_report", node)
 
-    def _tick(self, now):
-        """Expire the tables due at `now`, in switch order, then end the hour
-        if `now` is a boundary."""
-        heap = self._deadlines.heap
-        while heap and heap[0][0] == now:
-            table = self._by_index[heapq.heappop(heap)[1]]
-            if table.armed == now:
-                table.expire(now)
-                self._deadlines.rearm(table)
-        if now % SECONDS_PER_HOUR == 0:
-            self.controller.on_hour(int(now // SECONDS_PER_HOUR), now=now)
+    # -- ticks ---------------------------------------------------------------
+
+    def _arm(self, i, tick):
+        """Make table `i` expire at `tick` unless it is armed earlier.  The
+        entry's negative order puts it ahead of its instant's events, in
+        switch order; an entry whose tick is no longer `_armed[i]` is stale.
+        Installs arm; a lookup hit only moves a deadline later, so it does not."""
+        if tick < self._armed[i]:
+            self._armed[i] = tick
+            heapq.heappush(self._heap, (tick, i - len(self.tables) - 1, "expire", i))
+
+    def _rearm(self, i):
+        """Arm table `i` afresh from its rules.  The deadline grows with
+        last_hit, so each timeout's oldest last hit is all that counts."""
+        self._armed[i] = math.inf
+        for timeout, last_hit in self.tables[i].oldest.items():
+            self._arm(i, idle_deadline(last_hit, timeout, self.horizon))
+
+    def _expire(self, now, i):
+        if self._armed[i] == now:
+            self.tables[i].expire(now)
+            self._rearm(i)
+
+    def _hour(self, now, _=None):
+        """End the hour; its entry sorts after the tables' and before the
+        instant's events."""
+        self.controller.on_hour(int(now // SECONDS_PER_HOUR), now=now)
+        self._push_hour(now + SECONDS_PER_HOUR)
+
+    def _push_hour(self, boundary):
+        if boundary < self.horizon:
+            heapq.heappush(self._heap, (boundary, -1, "hour", None))
 
     def _snapshot(self, now, _=None):
         lines = []
-        for sw, table in self.tables.items():
+        for table in self.tables:
             for line in table.dump():
-                lines.append("sw=%s %s" % (sw, line))
+                lines.append("sw=%s %s" % (table.switch, line))
         self.snapshots[now] = "\n".join(lines)
 
     # -- main loop -----------------------------------------------------------
@@ -431,38 +422,26 @@ class Simulation:
         with a tick at each whole second in (0, horizon) where a table is
         due or an hour ends; a tick runs before any event of its instant.
 
-        Events of the instant being handled drain the heap's entries first,
-        then the FIFO: every heap entry of that instant was scheduled before
-        the instant began, and every FIFO entry after.  No tick falls due
+        Ticks are heap entries too, so the heap alone orders time.  Events
+        of the instant being handled drain the heap's entries first, then
+        the FIFO: every heap entry of that instant was scheduled before the
+        instant began, and every FIFO entry after.  No tick falls due
         meanwhile, since an install at `now` arms a deadline after `now`.
-        Otherwise the next due tick is found again after every event, since
-        an event may arm an earlier one.  Nothing is scheduled before the
-        instant being handled."""
+        Nothing is scheduled before the instant being handled."""
         self.horizon = float(horizon)
-        deadlines = self._deadlines
-        deadlines.horizon = self.horizon
-        tables = self._by_index
-        for table in tables:  # rules installed before the run
-            deadlines.rearm(table)
-        due, events, fifo, handlers = deadlines.heap, self._heap, self._fifo, self._handlers()
-        hour = SECONDS_PER_HOUR
+        for i in range(len(self.tables)):  # rules installed before the run
+            self._rearm(i)
+        self._push_hour(SECONDS_PER_HOUR)
+        heap, fifo, handlers = self._heap, self._fifo, self._handlers()
         now = None
         while True:
-            if fifo and not (events and events[0][0] <= now):
+            if fifo and not (heap and heap[0][0] <= now):
                 kind, payload = fifo.popleft()
-            else:
-                while due and tables[due[0][1]].armed != due[0][0]:
-                    heapq.heappop(due)
-                tick = min(due[0][0], hour) if due else hour
-                if tick < self.horizon and not (events and events[0][0] < tick):
-                    self._tick(tick)
-                    if tick == hour:
-                        hour += SECONDS_PER_HOUR
-                    continue
-                if not (events and events[0][0] < self.horizon):
-                    break
-                now, _, kind, payload = heapq.heappop(events)
+            elif heap and heap[0][0] < self.horizon:
+                now, _, kind, payload = heapq.heappop(heap)
                 self._now = now
+            else:
+                break
             handlers[kind](now, payload)
         self._now = None
 

@@ -93,10 +93,6 @@ def get_scheduler(name):
         raise ValidationError("scheduler", f"unknown scheduler {name!r}") from None
 
 
-def reset_hour(state, new_energy_wh):
-    """Start a new hour: fresh energy vector, zero assignments, cursor kept."""
-    new_energy = np.asarray(new_energy_wh, dtype=np.float64)
-    if new_energy.shape != (state.m,):
-        raise LengthMismatch(f"got {new_energy.shape[0] if new_energy.ndim else 'scalar'} energies for {state.m} data centers")
-    state.energy_wh = new_energy.copy()
+def reset_hour(state):
+    """Start a new hour: zero assignments; energy and cursor kept."""
     state.assigned[:] = 0

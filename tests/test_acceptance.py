@@ -4,7 +4,6 @@ Each test covers one headline property of the package and prints a
 single PASS/FAIL line; run with -v (or -rA) to see them all.
 """
 
-import json
 import math
 import re
 import time
@@ -16,7 +15,7 @@ from grasp.cli import main as cli_main
 from grasp.datafiles import data_path
 from grasp.energy import synth_profile
 from grasp.experiment import run_year
-from grasp.model import load_topology
+from grasp.model import load_topology, read_json
 from grasp.netsim import run_scenario
 
 
@@ -140,7 +139,7 @@ def test_criterion_6_discovery_completeness():
 
 def test_criterion_7_idle_timeout_from_trace():
     rep = geni_hour_report()
-    scenario = json.load(open(data_path("scenario_geni_1h.json")))
+    scenario = read_json(data_path("scenario_geni_1h.json"))
     timeout = 2.0
 
     # Forward rules stay warm through data packets; reverse rules are last
@@ -189,7 +188,7 @@ def protocol_matches_fast(site_profiles, hours, report_period):
     fast mode places."""
     results = {}
     for sched in ("green_aware", "round_robin"):
-        scen = json.load(open(data_path("scenario_geni_24h.json")))
+        scen = read_json(data_path("scenario_geni_24h.json"))
         scen["config"]["scheduler"] = sched
         scen["config"]["report_period"] = report_period
         scen["horizon"] = hours * 3600.0

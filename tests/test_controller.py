@@ -13,7 +13,6 @@ from grasp.controller import (
     Controller,
     Packet,
     PacketIn,
-    dump_flow_mods,
 )
 from grasp.errors import AlreadyConnected, GraspError, NoPath, UnknownSwitch
 from grasp.model import (
@@ -454,16 +453,3 @@ def test_seeded_credentials_are_reproducible():
     other = Controller(ControllerConfig(), seed=1)
     assert other.discovery_token != one.discovery_token
 
-
-def test_dump_flow_mods_format():
-    topo = line_topology()
-    controller = make(topo)
-    register(controller, topo)
-    cl, pkt = client_request(topo)
-    resp = controller.on_packet_in(PacketIn(cl.switch, cl.port, pkt))
-    text = dump_flow_mods(resp.flow_mods)
-    lines = text.split("\n")
-    assert len(lines) == 6
-    assert lines == sorted(lines)
-    assert any("set_ip_dst:10.1.0.1" in line for line in lines)
-    assert all("prio=10" in line and "idle=2" in line for line in lines)

@@ -6,17 +6,12 @@ import pytest
 from grasp.energy import synth_profile
 from grasp.errors import ValidationError
 from grasp.experiment import (
-    green_jobs,
     metrics_csv_text,
     run_year,
     sweep_csv_text,
     sweep_k,
     sweep_load,
 )
-
-
-def test_green_jobs_oracle():
-    assert green_jobs(np.array([2.5, 0.0, 5.0]), np.array([3, 1, 2])) == 4.5
 
 
 def const_profiles(*peaks):

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import heapq
 import io
 import json
@@ -7,6 +8,7 @@ import numbers
 import os
 import tempfile
 import time
+import weakref
 from unittest import mock
 
 import pytest
@@ -265,6 +267,27 @@ def test_inline_scenario_fast_path():
     assert len(responses) == 1
 
 
+def test_finished_simulation_is_freed_without_the_collector():
+    # a reference cycle would keep the simulation, its tables and its trace
+    # alive until the collector runs
+    sims = []
+
+    class Watched(Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(weakref.ref(self))
+
+    gc.disable()
+    try:
+        with mock.patch.object(netsim, "Simulation", Watched):
+            rep = run_scenario(tiny_scenario(horizon=3700.0), seed=0)
+        assert sims[0]() is None
+    finally:
+        gc.enable()
+    assert any("ev=expire" in line for line in rep.trace)
+    assert "t=3600.000 ev=hour_reset hour=1" in rep.trace
+
+
 def test_reopened_flow_hits_controller_again():
     scen = tiny_scenario()
     scen["clients"] = [{"client": "cl", "flows": [
@@ -477,10 +500,14 @@ class EverySecond(Simulation):
     below the horizon, before any event of that instant, sweep every flow
     table in switch order, then end the hour on a boundary.  It leaves
     `_now` unset, so every event, zero-latency hops too, goes through the
-    heap in (time, schedule order): an oracle for the same-instant FIFO."""
+    heap in (time, schedule order): an oracle for the same-instant FIFO.
+    It arms no expiry tick, so it does not rely on the lazy ones."""
+
+    def _arm(self, i, tick):
+        pass
 
     def _sweep(self, now):
-        for table in self.tables.values():
+        for table in self.tables:
             table.expire(now)
         if now % 3600.0 == 0:
             self.controller.on_hour(int(now // 3600.0), now=now)
@@ -574,7 +601,7 @@ def test_rules_installed_before_time_zero_expire_every_second_alike():
         topology, config, *_ = load_scenario(tiny_scenario())
         sim = cls(topology, config)
         for src, (last_hit, timeout) in enumerate([(-5.0, 2.0), (-0.5, 2.0), (-1.0, 2.0), (-2.5, 0.3), (-1e30, 1.0)]):
-            sim.tables[SW].install(mod(src=src + 1, timeout=timeout), now=last_hit)
+            sim.tables[SW.index].install(mod(src=src + 1, timeout=timeout), now=last_hit)
         sim.run(6.0)
         traces.append(sim.trace)
     assert traces[0] == traces[1]

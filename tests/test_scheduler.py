@@ -78,14 +78,10 @@ def test_round_robin_cycles_and_keeps_cursor():
 
 def test_reset_hour():
     st = state([1.0, 2.0], assigned=[5, 7], cursor=1)
-    fresh = np.array([9.0, 10.0])
-    reset_hour(st, fresh)
+    reset_hour(st)
     assert st.assigned.tolist() == [0, 0]
     assert st.rr_cursor == 1
-    fresh[0] = -100.0  # reset copies, later mutation must not leak in
-    assert st.energy_wh.tolist() == [9.0, 10.0]
-    with pytest.raises(LengthMismatch):
-        reset_hour(st, np.zeros(3))
+    assert st.energy_wh.tolist() == [1.0, 2.0]
 
 
 def test_state_validation():
