@@ -7,9 +7,10 @@ directly.  Synthetic shapes cover tests and demos.
 """
 
 import csv
+import io
 import math
+import warnings
 from itertools import islice
-from operator import itemgetter
 
 import numpy as np
 
@@ -69,30 +70,42 @@ def _read_year(path, fields, exact=False):
     header name; with `exact` the header must be exactly those names.
     Blank lines are skipped.  A row whose width differs from the header's
     or whose field is non-numeric raises ParseError naming its line.
+    numpy's C reader takes the rows if it reads every field of them as a
+    number; otherwise they are re-read with `float()`'s rules.
     """
     columns = list(fields.values())
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader, [])]
+        head = csv.reader(fh)
+        header = [h.strip() for h in next(head, [])]
         if any(c not in header for c in columns) or (exact and header != columns):
             raise ParseError(f"{path}: expected columns {columns}, header has {header}")
-        rows = [row for row in reader if row]
-    getters = [itemgetter(header.index(c)) for c in columns]
-    table = np.empty(len(rows), dtype=[(field, np.float64) for field in fields])
+        text = fh.read()
+    index = [header.index(c) for c in columns]
     try:
-        if any(len(row) != len(header) for row in rows):
+        if any(sep in text for sep in "\x1c\x1d\x1e\x1f"):  # numpy strips them as whitespace, float() does not
             raise ValueError
-        for field, get in zip(fields, getters):
-            table[field] = list(map(float, map(get, rows)))
-    except ValueError:
-        for n, row in enumerate(rows):  # find the row that failed
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows: "input contained no data"
+            values = np.loadtxt(io.StringIO(text, newline=""), delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        if values.shape[1] != len(header):
+            raise ValueError
+        values = values[:, index]
+    except ValueError:  # re-read row by row, stopping at the first bad row
+        reader = csv.reader(io.StringIO(text, newline=""))
+        rows = [(reader.line_num, row) for row in reader if row]
+        values = []
+        for line, row in rows:
             try:
                 if len(row) != len(header):
                     raise ValueError
-                for get in getters:
-                    float(get(row))
+                values.append([float(row[i]) for i in index])
             except ValueError:
-                raise _row_error(path, n, f"expected {len(header)} numeric fields, got {row}") from None
+                line += head.line_num
+                raise ParseError(f"{path}:{line}: expected {len(header)} numeric fields, got {row}") from None
+        values = np.array(values, dtype=np.float64).reshape(-1, len(index))
+    table = np.empty(len(values), dtype=[(field, np.float64) for field in fields])
+    for j, field in enumerate(fields):
+        table[field] = values[:, j]
     if len(table) != HOURS_PER_YEAR:
         raise ParseError(f"{path}: expected {HOURS_PER_YEAR} data rows, got {len(table)}")
     return table

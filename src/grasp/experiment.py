@@ -124,17 +124,14 @@ def metrics_csv_text(reports):
     header = "hour,scheduler,k,jobs,n_g,r," + ",".join(f"dc_{d}" for d in range(m))
     lines = [header]
     for rep in reports:
-        for h in range(rep.hours):
-            row = "%d,%s,%s,%d,%.6f,%.6f," % (
-                h,
-                rep.scheduler,
-                "%g" % rep.job_energy_wh,
-                rep.jobs_per_hour,
-                rep.green_jobs[h],
-                rep.ratio[h],
+        fixed = "%s,%g,%d" % (rep.scheduler.replace("%", "%%"), rep.job_energy_wh, rep.jobs_per_hour)
+        row = "%d," + fixed + ",%.6f,%.6f," + ",".join(["%d"] * m)
+        lines += [
+            row % (h, n_g, r, *loads)
+            for h, n_g, r, loads in zip(
+                range(rep.hours), rep.green_jobs.tolist(), rep.ratio.tolist(), rep.per_dc_load.tolist()
             )
-            row += ",".join(str(v) for v in rep.per_dc_load[h])
-            lines.append(row)
+        ]
     return "\n".join(lines) + "\n"
 
 

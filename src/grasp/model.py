@@ -49,10 +49,6 @@ def format_ip(ip):
     return "%d.%d.%d.%d" % ((ip >> 24) & 255, (ip >> 16) & 255, (ip >> 8) & 255, ip & 255)
 
 
-def format_mac(mac):
-    return ":".join("%02x" % ((mac >> s) & 255) for s in range(40, -8, -8))
-
-
 def parse_ip(text):
     parts = text.split(".") if isinstance(text, str) else []
     if len(parts) != 4 or not all(p.isdecimal() and int(p) <= 255 for p in parts):

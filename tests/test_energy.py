@@ -1,14 +1,20 @@
+import csv
 import glob
+import warnings
+from operator import itemgetter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grasp.cli import main
 from grasp.datafiles import data_path
 from grasp.energy import (
     HOURS_PER_YEAR,
     EnergyProfile,
+    _read_year,
+    _row_error,
     build_profile,
     load_profile_csv,
     parse_nsrdb_csv,
@@ -240,3 +246,210 @@ def test_bundled_sites_frozen(site_profiles):
     for p in site_profiles:
         assert p.wh.min() == 0.0  # every site has dark hours
         assert p.wh.max() > 50.0
+
+
+def _read_year_oracle(path, fields, exact=False):
+    """The reader numpy's C reader replaced: `csv.reader` and `float()`
+    column-wise, then a second pass to find the first bad row."""
+    columns = list(fields.values())
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader, [])]
+        if any(c not in header for c in columns) or (exact and header != columns):
+            raise ParseError(f"{path}: expected columns {columns}, header has {header}")
+        rows = [row for row in reader if row]
+    getters = [itemgetter(header.index(c)) for c in columns]
+    table = np.empty(len(rows), dtype=[(field, np.float64) for field in fields])
+    try:
+        if any(len(row) != len(header) for row in rows):
+            raise ValueError
+        for field, get in zip(fields, getters):
+            table[field] = list(map(float, map(get, rows)))
+    except ValueError:
+        for n, row in enumerate(rows):
+            try:
+                if len(row) != len(header):
+                    raise ValueError
+                for get in getters:
+                    float(get(row))
+            except ValueError:
+                raise _row_error(path, n, f"expected {len(header)} numeric fields, got {row}") from None
+    if len(table) != HOURS_PER_YEAR:
+        raise ParseError(f"{path}: expected {HOURS_PER_YEAR} data rows, got {len(table)}")
+    return table
+
+
+READS = {
+    "weather": ("hour,dry_bulb_c,ghi_whm2", {"ghi_whm2": "ghi_whm2", "dry_bulb_c": "dry_bulb_c"}, False),
+    "profile": ("wh", {"wh": "wh"}, True),
+}
+
+
+def read_both(path, kind):
+    """The table bytes or error text of the reader and of its oracle.
+
+    A lone quote can open a field that runs past `csv`'s field size
+    limit, and then both raise `csv.Error`."""
+    _, fields, exact = READS[kind]
+    out = []
+    for read in (_read_year, _read_year_oracle):
+        try:
+            out.append(read(str(path), fields, exact).tobytes())
+        except ParseError as err:
+            out.append(str(err))
+        except csv.Error as err:
+            out.append("csv.Error: %s" % err)
+    return out
+
+
+def year_rows(kind):
+    if kind == "weather":
+        return [row.split(",") for row in full_year_rows()]
+    return [["%.6f" % (h % 7)] for h in range(HOURS_PER_YEAR)]
+
+
+def write_year(tmp_path, kind, rows, end="\n"):
+    path = tmp_path / ("%s.csv" % kind)
+    lines = [READS[kind][0]] + [",".join(row) for row in rows]
+    path.write_text(end.join(lines) + end, newline="")
+    return path
+
+
+# pieces of field tokens: float() and numpy's reader differ on quotes,
+# underscores, non-ASCII digits and the separators \x1c-\x1f
+PIECES = ["0", "1", "7", "-", "+", ".", "e", "_", '"', "#", " ", "\t", "nan", "inf", "Infinity", "1e999",
+          "0x10", "\u0661\u0662", "\uff11\uff12", "", "\x1c", "\x1f", "\xa0"]
+TOKENS = st.lists(st.sampled_from(PIECES), max_size=3).map("".join)
+
+
+@st.composite
+def year_changes(draw):
+    """Changes to a full-year weather or `wh` file, kept small so a failing
+    example prints the changes, not the file."""
+    kind = draw(st.sampled_from(sorted(READS)))
+    width = 3 if kind == "weather" else 1
+    edits = draw(st.lists(
+        st.tuples(st.integers(0, HOURS_PER_YEAR - 1), st.sampled_from(["field", "extra", "missing"]),
+                  st.integers(0, width - 1), TOKENS),
+        max_size=4,
+    ))
+    lines = draw(st.lists(st.tuples(st.integers(0, HOURS_PER_YEAR), st.sampled_from(["", " ", "\t", " \t "])),
+                          max_size=3))
+    changes = dict(
+        dated=kind == "weather" and draw(st.booleans()),  # a non-numeric hour column
+        edits=edits,
+        extra_row=draw(st.booleans()),
+        lines=lines,
+    )
+    return kind, draw(st.sampled_from(["\n", "\r\n", "\r"])), changes
+
+
+def changed_year(kind, dated, edits, extra_row, lines):
+    rows = year_rows(kind)
+    if dated:
+        for row in rows:
+            row[0] = "2001-%s" % row[0]
+    for at, change, column, token in edits:
+        row = rows[at]
+        if change == "field" and row:
+            row[min(column, len(row) - 1)] = token
+        elif change == "extra":
+            row.append(token)
+        elif row:
+            row.pop()
+    if extra_row:
+        rows.append(list(rows[-1]))  # an 8761st row
+    for at, line in lines:
+        rows.insert(at, [line])
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=year_changes())
+def test_reader_equals_column_wise_oracle(tmp_path_factory, case):
+    kind, end, changes = case
+    path = write_year(tmp_path_factory.mktemp("year"), kind, changed_year(kind, **changes), end)
+    fast, oracle = read_both(path, kind)
+    assert fast == oracle
+
+
+# inputs numpy's reader refuses and float() reads: (kind, column, field, token, value)
+FALLBACK_READS = {
+    "quoted": ("profile", 0, "wh", '"2.5"', 2.5),
+    "underscore": ("profile", 0, "wh", "1_0.5", 10.5),
+    "arabic-indic digits": ("weather", 1, "dry_bulb_c", "\u0661\u0662", 12.0),
+    "fullwidth digits": ("weather", 2, "ghi_whm2", "\uff11\uff12", 12.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_READS))
+def test_reader_falls_back_to_float_rules(tmp_path, name):
+    kind, column, field, token, value = FALLBACK_READS[name]
+    rows = year_rows(kind)
+    rows[5][column] = token
+    path = write_year(tmp_path, kind, rows)
+    fast, oracle = read_both(path, kind)
+    assert fast == oracle
+    assert _read_year(str(path), *READS[kind][1:])[field][5] == value
+
+
+def test_reader_takes_a_non_numeric_unread_column(tmp_path):
+    rows = year_rows("weather")
+    numeric = write_year(tmp_path, "weather", rows)
+    fields = READS["weather"][1]
+    expected = _read_year(str(numeric), fields).tobytes()
+    for row in rows:
+        row[0] = "2001-%s" % row[0]
+    path = write_year(tmp_path, "weather", rows)
+    assert read_both(path, "weather") == [expected, expected]
+
+
+@pytest.mark.parametrize(
+    "line, problem",
+    [
+        ("5,14.5,0,", "trailing comma"),
+        ("5,14.5\x1c,0", "a separator numpy's reader strips as whitespace"),
+        ("  ", "whitespace-only line"),
+    ],
+)
+def test_reader_rejects_what_float_rejects(tmp_path, line, problem):
+    rows = year_rows("weather")
+    rows[5] = line.split(",")
+    path = write_year(tmp_path, "weather", rows)
+    fast, oracle = read_both(path, "weather")
+    assert fast == oracle
+    assert fast.startswith("%s:7: expected 3 numeric fields" % path), problem
+
+
+@pytest.mark.parametrize("kind", sorted(READS))
+@pytest.mark.parametrize("body", ["", "\n\n", "\r\n\r\n"])
+def test_header_only_file_fails_cleanly(tmp_path, kind, body):
+    path = tmp_path / ("%s.csv" % kind)
+    path.write_text(READS[kind][0] + "\n" + body, newline="")
+    read = parse_nsrdb_csv if kind == "weather" else load_profile_csv
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParseError, match="expected 8760 data rows, got 0"):
+            read(str(path))
+        fast, oracle = read_both(path, kind)
+        assert fast == oracle
+    assert caught == []
+
+
+@pytest.mark.parametrize("kind", sorted(READS))
+def test_validate_header_only_file_exits_1_without_warning(tmp_path, capsys, kind):
+    path = tmp_path / ("%s.csv" % kind)
+    path.write_text(READS[kind][0] + "\n\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["validate", "--energy", str(path)]) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err == "error: %s: expected 8760 data rows, got 0\n" % path
+
+
+def test_reader_rejects_rows_all_wider_than_the_header(tmp_path):
+    path = write_year(tmp_path, "weather", [row + ["0"] for row in year_rows("weather")])
+    fast, oracle = read_both(path, "weather")
+    assert fast == oracle
+    assert fast.startswith("%s:2: expected 3 numeric fields" % path)

@@ -127,3 +127,28 @@ def test_metrics_csv_shape():
 def test_sweep_csv_shape():
     text = sweep_csv_text([(1.0, 0.5, 0.25), (200.0, 0.125, 0.125)])
     assert text == "k_or_load,r_avg_green,r_avg_rr\n1,0.500000,0.250000\n200,0.125000,0.125000\n"
+
+
+def metrics_csv_text_oracle(reports):
+    """The per-row, per-field formatter one format string per report replaced."""
+    m = reports[0].per_dc_load.shape[1]
+    lines = ["hour,scheduler,k,jobs,n_g,r," + ",".join(f"dc_{d}" for d in range(m))]
+    for rep in reports:
+        for h in range(rep.hours):
+            row = "%d,%s,%s,%d,%.6f,%.6f," % (
+                h, rep.scheduler, "%g" % rep.job_energy_wh, rep.jobs_per_hour, rep.green_jobs[h], rep.ratio[h],
+            )
+            row += ",".join(str(v) for v in rep.per_dc_load[h])
+            lines.append(row)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("sites", [1, 9])
+@pytest.mark.parametrize("hours", [1, 168, 8760])
+def test_metrics_csv_text_equals_per_row_formatter(site_profiles, sites, hours):
+    for k, jobs in itertools.product([0.3, 1e-05, 1, 191], [0, 900]):
+        reports = [run_year(site_profiles[:sites], s, k, jobs, hours=hours) for s in ("green_aware", "round_robin")]
+        for rep in reports:
+            # %d would truncate a float load that str() prints as 1.0
+            assert np.issubdtype(rep.per_dc_load.dtype, np.integer)
+        assert metrics_csv_text(reports) == metrics_csv_text_oracle(reports)
