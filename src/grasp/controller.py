@@ -11,7 +11,10 @@ the shortest discovered path.
 
 import random
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .energy import valid_energy
 from .errors import AlreadyConnected, NoPath, UnknownSwitch
@@ -19,6 +22,7 @@ from .model import (
     GREEN_ENERGY_PARAM,
     AdjacencyEntry,
     DataCenterRecord,
+    NodeId,
     format_ip,
     parse_ip,
 )
@@ -36,8 +40,7 @@ PERMANENT = 0.0  # idle_timeout value meaning "never expires"
 PASSCODE_BYTES = 16
 
 
-@dataclass(frozen=True)
-class Packet:
+class Packet(NamedTuple):
     """A data-plane packet, reduced to the headers the platform acts on."""
 
     kind: str  # register | register_ack | discover | report | request | data | response
@@ -45,20 +48,18 @@ class Packet:
     eth_dst: int
     ip_src: int
     ip_dst: int
-    payload: dict = field(default_factory=dict)
+    payload: Mapping = MappingProxyType({})  # read-only, so one default serves every packet
 
 
-@dataclass(frozen=True)
-class PacketIn:
+class PacketIn(NamedTuple):
     """A packet punted to the controller, with where it entered."""
 
-    switch: object  # NodeId of the punting switch
+    switch: NodeId  # the punting switch
     port: int
     packet: Packet
 
 
-@dataclass(frozen=True)
-class FlowMod:
+class FlowMod(NamedTuple):
     """One flow rule to install: match on (src, dst), run the actions.
 
     `match_src`/`match_dst` of None are wildcards.  Actions are tuples;
@@ -66,24 +67,18 @@ class FlowMod:
     ("controller",).  idle_timeout 0 means the rule never expires.
     """
 
-    switch: object
+    switch: NodeId
     priority: int
     match_src: object
     match_dst: object
     actions: tuple
     idle_timeout: float
 
-    def __post_init__(self):
-        terminals = [a for a in self.actions if a[0] in ("output", "controller")]
-        if len(terminals) != 1 or self.actions[-1] is not terminals[0]:
-            raise ValueError("flow rule needs exactly one terminal action, last")
 
-
-@dataclass(frozen=True)
-class PacketOut:
+class PacketOut(NamedTuple):
     """An instruction to emit a packet from a switch port."""
 
-    switch: object
+    switch: NodeId
     port: int
     packet: Packet
 
@@ -199,11 +194,11 @@ class Controller:
     def _handle_discover(self, pkt_in, now):
         pkt = pkt_in.packet
         if pkt.payload.get("token") != self.discovery_token:
-            self._log(now, "ev=drop reason=bad_token sw=%s" % pkt_in.switch)
+            self._log(now, "ev=drop reason=bad_token sw=%s" % (pkt_in.switch,))
             return ControllerResponse(dropped="bad_token")
         origin = self._switch_by_mac.get(pkt.eth_src)
         if origin is None or origin == pkt_in.switch:
-            self._log(now, "ev=drop reason=bad_discover_origin sw=%s" % pkt_in.switch)
+            self._log(now, "ev=drop reason=bad_discover_origin sw=%s" % (pkt_in.switch,))
             return ControllerResponse(dropped="bad_discover_origin")
         if (pkt_in.switch, origin) not in self.adjacency:
             # a new edge can shorten paths; a rediscovered one only renews its port
@@ -224,7 +219,7 @@ class Controller:
     def _handle_register(self, pkt_in, now):
         pkt = pkt_in.packet
         rec = self.dcs_by_ip.get(pkt.ip_src)
-        passcode = self._rng.randbytes(PASSCODE_BYTES)
+        passcode = self._rng.randbytes(PASSCODE_BYTES).hex()
         if rec is None:
             rec = DataCenterRecord(
                 dc_id=len(self.dcs),
@@ -258,7 +253,7 @@ class Controller:
             ip_dst=rec.ip,
             payload={
                 "dc_id": rec.dc_id,
-                "passcode": rec.passcode.hex(),
+                "passcode": rec.passcode,
                 "parameters": list(self.config.parameters),
                 "report_period": self.config.report_period,
             },
@@ -272,7 +267,7 @@ class Controller:
             self.auth_failures += 1
             self._log(now, "ev=auth_fail reason=unknown_reporter src=%s" % format_ip(pkt.ip_src))
             return ControllerResponse(dropped="unknown_reporter")
-        if pkt.payload.get("passcode") != rec.passcode.hex():
+        if pkt.payload.get("passcode") != rec.passcode:
             self.auth_failures += 1
             self._log(now, "ev=auth_fail reason=bad_passcode dc=d%d" % rec.dc_id)
             return ControllerResponse(dropped="bad_passcode")

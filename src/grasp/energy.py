@@ -69,14 +69,16 @@ def _read_year(path, fields, exact=False):
     `fields` maps each field of the returned structured array to its
     header name; with `exact` the header must be exactly those names.
     Blank lines are skipped.  A row whose width differs from the header's
-    or whose field is non-numeric raises ParseError naming its line.
+    or whose field is non-numeric raises ParseError naming its line, and so
+    does a record `csv` cannot split (a lone `"` opens a quoted field that
+    can run past `csv`'s field size limit), naming the line it starts on.
     numpy's C reader takes the rows if it reads every field of them as a
     number; otherwise they are re-read with `float()`'s rules.
     """
     columns = list(fields.values())
     with open(path, newline="") as fh:
         head = csv.reader(fh)
-        header = [h.strip() for h in next(head, [])]
+        header = [h.strip() for h in _first_record(path, head) or []]
         if any(c not in header for c in columns) or (exact and header != columns):
             raise ParseError(f"{path}: expected columns {columns}, header has {header}")
         text = fh.read()
@@ -92,7 +94,14 @@ def _read_year(path, fields, exact=False):
         values = values[:, index]
     except ValueError:  # re-read row by row, stopping at the first bad row
         reader = csv.reader(io.StringIO(text, newline=""))
-        rows = [(reader.line_num, row) for row in reader if row]
+        rows, start = [], 1  # `start`: the line the next record starts on
+        try:
+            for row in reader:
+                if row:
+                    rows.append((reader.line_num, row))
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{start + head.line_num}: {exc}") from None
         values = []
         for line, row in rows:
             try:
@@ -109,6 +118,14 @@ def _read_year(path, fields, exact=False):
     if len(table) != HOURS_PER_YEAR:
         raise ParseError(f"{path}: expected {HOURS_PER_YEAR} data rows, got {len(table)}")
     return table
+
+
+def _first_record(path, reader):
+    """The header record of a CSV, or None for an empty file."""
+    try:
+        return next(reader, None)
+    except csv.Error as exc:
+        raise ParseError(f"{path}:1: {exc}") from None
 
 
 def _row_error(path, n, problem):
@@ -181,7 +198,7 @@ def profile_csv_text(profile):
 def profile_csv_header_kind(path):
     """Peek at a CSV header: 'profile' for wh files, 'weather' otherwise."""
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+        header = _first_record(path, csv.reader(fh))
     if header is None:
         raise ParseError(f"{path}: empty file")
     return "profile" if [h.strip() for h in header] == ["wh"] else "weather"

@@ -10,6 +10,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
 
@@ -26,9 +27,11 @@ SCHEDULER_NAMES = ("green_aware", "round_robin")
 GREEN_ENERGY_PARAM = "green_energy_wh"
 
 
-@dataclass(frozen=True, order=True)
-class NodeId:
-    """Stable identity of a node: kind plus position in its topology list."""
+class NodeId(NamedTuple):
+    """Stable identity of a node: kind plus position in its topology list.
+
+    A tuple, so it hashes, compares and sorts as `(kind, index)` in C.
+    """
 
     kind: str
     index: int
@@ -110,7 +113,7 @@ class DataCenterRecord:
     mac: int
     switch: NodeId
     port: int
-    passcode: bytes
+    passcode: str  # hex text, as sent in the register_ack
 
 
 @dataclass
@@ -177,6 +180,8 @@ def _require(condition, field_name, message):
 
 def finite_number(value):
     """Whether `value` is a real number, not a bool, and finite as a float."""
+    if type(value) is float:
+        return math.isfinite(value)
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         return False
     try:

@@ -227,6 +227,10 @@ class Simulation:
         switches = [NodeId(SWITCH, i) for i in range(len(topology.switch_names))]
         self.tables = [FlowTable(sw, self.trace) for sw in switches]
         self._ports = [topology.ports(sw) for sw in switches]
+        self._hosts = {  # host NodeId -> (mac, ip, switch, port) of its access link
+            att.node: (topology.addresses[att.node].mac, topology.addresses[att.node].ip, att.switch, att.port)
+            for att in topology.datacenters + topology.clients
+        }
         self._armed = [math.inf] * len(switches)  # each table's pending expiry tick
         self._heap = []  # (time, insertion order, kind, payload)
         self._order = itertools.count()
@@ -274,11 +278,15 @@ class Simulation:
         self._apply(resp, now)
 
     def _apply(self, resp, now):
+        ticks = {}  # idle timeout -> deadline of a rule installed `now`, shared by the response's mods
         for mod in resp.flow_mods:
             i = mod.switch.index
             self.tables[i].install(mod, now)
             if mod.idle_timeout > 0:
-                self._arm(i, idle_deadline(now, mod.idle_timeout, self.horizon))
+                tick = ticks.get(mod.idle_timeout)
+                if tick is None:
+                    tick = ticks[mod.idle_timeout] = idle_deadline(now, mod.idle_timeout, self.horizon)
+                self._arm(i, tick)
         for out in resp.packets:
             peer = self._ports[out.switch.index].get(out.port)
             if peer is None:
@@ -292,10 +300,8 @@ class Simulation:
     def _emit_from_host(self, now, node, kind, payload, eth_dst=0, ip_dst=0):
         """A host puts a packet from its own address on its access link; it
         arrives at the switch."""
-        addr = self.topology.addresses[node]
-        packet = Packet(kind=kind, eth_src=addr.mac, eth_dst=eth_dst, ip_src=addr.ip, ip_dst=ip_dst, payload=payload)
-        att = self._attachment(node)
-        self.schedule(now, "deliver", (att.switch, att.port, packet))
+        mac, ip, switch, port = self._hosts[node]
+        self.schedule(now, "deliver", (switch, port, Packet(kind, mac, eth_dst, ip, ip_dst, payload)))
 
     def _attachment(self, node):
         group = self.topology.datacenters if node.kind == DATACENTER else self.topology.clients

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import grasp
 from grasp.cli import main
 from grasp.datafiles import data_path
 
@@ -141,6 +144,25 @@ def test_validate_single_file_uses_the_run_loader(tmp_path, capsys):
     profile.write_text("wh\n" + "1\n" * 20 + "nan\n" + "1\n" * 8739)
     assert run_cli("validate", "--energy", str(profile)) == 1
     assert ":22:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [1, 6])
+def test_validate_reports_a_lone_quote_without_a_traceback(tmp_path, line):
+    """A lone `"` opens a quoted field that runs past `csv`'s field size
+    limit; the command names the line the field starts on and exits 1."""
+    with open(data_path("sites", "02_watertown.csv")) as fh:
+        lines = fh.read().splitlines()
+    lines[line - 1] = '"' + lines[line - 1]
+    site = tmp_path / "quoted.csv"
+    site.write_text("\n".join(lines) + "\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(grasp.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "grasp.cli", "validate", "--energy", str(site)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: %s:%d: " % (site, line))
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])

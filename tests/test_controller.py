@@ -18,6 +18,7 @@ from grasp.errors import AlreadyConnected, GraspError, NoPath, UnknownSwitch
 from grasp.model import (
     SWITCH,
     ControllerConfig,
+    DataCenterRecord,
     NodeId,
     topology_from_dict,
 )
@@ -164,14 +165,57 @@ def test_discovery_rejects_forgeries():
     before = dict(controller.adjacency)
     forged = Packet("discover", topo.addresses[b].mac, BROADCAST_MAC, 0, 0, {"token": "babe"})
     assert controller.on_packet_in(PacketIn(a, 1, forged)).dropped == "bad_token"
+    assert controller.trace[-1] == "t=0.000 ev=drop reason=bad_token sw=s0"
     own = Packet("discover", topo.addresses[a].mac, BROADCAST_MAC, 0, 0,
                  {"token": controller.discovery_token})
     assert controller.on_packet_in(PacketIn(a, 1, own)).dropped == "bad_discover_origin"
+    assert controller.trace[-1] == "t=0.000 ev=drop reason=bad_discover_origin sw=s0"
     unknown = Packet("discover", 0xDEADBEEF, BROADCAST_MAC, 0, 0,
                      {"token": controller.discovery_token})
     assert controller.on_packet_in(PacketIn(a, 1, unknown)).dropped == "bad_discover_origin"
     assert controller.adjacency == before
     assert controller.auth_failures == 0  # only reports count as auth failures
+
+
+def test_packet_default_payload_is_read_only():
+    one, two = Packet("data", 0, 0, 0, 0), Packet("data", 1, 0, 0, 0)
+    with pytest.raises(TypeError):
+        one.payload["flow_id"] = "f1"
+    assert dict(one.payload) == {} and dict(two.payload) == {}
+    assert Packet("data", 0, 0, 0, 0, {"k": 1}).payload == {"k": 1}
+
+
+def assert_one_terminal_action_last(mods):
+    """What the switches rely on: each rule ends in its only output or punt."""
+    for mod in mods:
+        kinds = [action[0] for action in mod.actions]
+        assert kinds and [k for k in kinds if k in ("output", "controller")] == [kinds[-1]], mod
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    extra=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=12),
+    ends=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    ingress=st.integers(1, 9),
+)
+def test_flow_mods_end_in_one_terminal_action(n, extra, ends, ingress):
+    # a chain keeps every pair of switches connected; extra links vary the paths
+    controller = Controller(ControllerConfig(), seed=0)
+    nodes = [NodeId(SWITCH, i) for i in range(n)]
+    for i, sw in enumerate(nodes):
+        assert_one_terminal_action_last(controller.on_switch_connect(sw, [1], 1000 + i).flow_mods)
+    for a, b in [(i, i + 1) for i in range(n - 1)] + extra:
+        a, b = nodes[a % n], nodes[b % n]
+        if a != b:
+            discover(controller, a, 1 + b.index, 1000 + b.index)
+            discover(controller, b, 1 + a.index, 1000 + a.index)
+    src, dst = nodes[ends[0] % n], nodes[ends[1] % n]
+    path = controller.compute_path(src, dst)
+    rec = DataCenterRecord(dc_id=0, name="dc", ip=0x0A010001, mac=0x020001000001, switch=dst, port=n + 1, passcode="")
+    mods = controller.install_path(path, 0x0A020001, ingress, rec)
+    assert len(mods) == 2 * len(path)
+    assert_one_terminal_action_last(mods)
 
 
 def test_packet_in_requires_connected_switch():

@@ -37,6 +37,19 @@ def test_node_id_text():
     assert str(NodeId(SWITCH, 0)) == "s0"
     assert str(NodeId(DATACENTER, 3)) == "d3"
     assert str(NodeId(CLIENT, 1)) == "c1"
+    # formatted as one argument of several, or in an f-string, a node prints as its text
+    assert "sw=%s port=%d" % (NodeId(SWITCH, 12), 3) == "sw=s12 port=3"
+    assert f"{NodeId(CLIENT, 4)}" == "c4"
+
+
+def test_node_ids_hash_compare_and_sort_as_kind_then_index():
+    # dict and trace orders rest on this: the same key as the (kind, index) pair
+    node = NodeId(SWITCH, 3)
+    assert hash(node) == hash((SWITCH, 3))
+    assert node == NodeId(SWITCH, 3) and node != NodeId(DATACENTER, 3)
+    assert {node: "x"}[NodeId(SWITCH, 3)] == "x"
+    mixed = [NodeId(SWITCH, 1), NodeId(CLIENT, 10), NodeId(DATACENTER, 0), NodeId(SWITCH, 0), NodeId(CLIENT, 2)]
+    assert [str(n) for n in sorted(mixed)] == ["c2", "c10", "d0", "s0", "s1"]
 
 
 def test_ip_round_trip():
