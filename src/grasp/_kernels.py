@@ -3,9 +3,9 @@
 One simulated year at realistic load is millions of sequential placement
 decisions, far too many for the per-decision scheduler API.  The kernels
 here place every hour of a year at once, as array code: `greedy_hour`
-gives exactly the loads of the oracle loop `_greedy_hour_loop`, which
-mirrors `scheduler.green_aware_decide`, and `round_robin` is the closed
-form of `round_robin_decide` with the cursor carried across hours.
+gives exactly the loads of `jobs` calls to `scheduler.green_aware_decide`,
+and `round_robin` is the closed form of `round_robin_decide` with the
+cursor carried across hours.
 """
 
 import numpy as np
@@ -17,22 +17,6 @@ LIMIT = 2.0**48
 BLOCK = 1024
 
 
-def _greedy_hour_loop(scores0, jobs):
-    # reference loop; mirrors green_aware_decide
-    m = scores0.shape[0]
-    loads = np.zeros(m, dtype=np.int64)
-    for _ in range(jobs):
-        best = 0
-        best_score = scores0[0] - loads[0]
-        for d in range(1, m):
-            score = scores0[d] - loads[d]
-            if score > best_score:
-                best = d
-                best_score = score
-        loads[best] += 1
-    return loads
-
-
 def greedy_hour(capacity, jobs):
     """Greedy placement of `jobs` jobs per hour, along the last axis.
 
@@ -40,9 +24,9 @@ def greedy_hour(capacity, jobs):
     matrix is a year; loads come back in the same shape.  Values and
     `jobs` must be finite and below LIMIT in magnitude.
 
-    The oracle `_greedy_hour_loop` gives the (i+1)-th job on site d the
-    key c[d] - i and takes the best key each time, the lower index
-    winning ties.  Keys fall with i, so its loads count per site the top
+    `green_aware_decide` gives the (i+1)-th job on site d the key
+    c[d] - i and takes the best key each time, the lower index winning
+    ties.  Keys fall with i, so its loads count per site the top
     `jobs` candidates F in the order (key desc, site asc).  Here a
     bisection finds per hour a level t whose first loads
     clip(ceil(c - t), 0, jobs) sum to at most `jobs`.  A fix-up then adds

@@ -54,18 +54,6 @@ def _write_atomic(path, text):
         raise
 
 
-def _seed_of(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("GRASP_SEED", "")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError("GRASP_SEED", "not an integer: %r" % env)
-    return 0
-
-
 def _positive(flag, value):
     if value <= 0:
         raise ValidationError(flag, "must be > 0")
@@ -176,7 +164,7 @@ def cmd_sweep(args):
 
 
 def cmd_scenario(args):
-    report = run_scenario(args.scenario, seed=_seed_of(args))
+    report = run_scenario(args.scenario, seed=args.seed)
     print(
         "packet_ins=%d auth_failures=%d deliveries=%d"
         % (report.packet_in_count, report.auth_failures, len(report.deliveries))
@@ -247,7 +235,7 @@ def build_parser():
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("scenario", help="run a protocol-level scenario")
-    p.add_argument("--seed", type=int, default=None, help="controller RNG seed, default $GRASP_SEED or 0")
+    p.add_argument("--seed", type=int, default=0, help="controller RNG seed, default 0")
     p.add_argument("--scenario", required=True, help="scenario JSON path")
     p.add_argument("--trace-out", help="write event trace here")
     p.set_defaults(func=cmd_scenario)

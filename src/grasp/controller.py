@@ -20,7 +20,6 @@ from .energy import valid_energy
 from .errors import AlreadyConnected, NoPath, UnknownSwitch
 from .model import (
     GREEN_ENERGY_PARAM,
-    AdjacencyEntry,
     DataCenterRecord,
     NodeId,
     format_ip,
@@ -89,7 +88,6 @@ class ControllerResponse:
 
     flow_mods: list = field(default_factory=list)
     packets: list = field(default_factory=list)
-    decision: object = None
     dropped: str = None
 
 
@@ -109,12 +107,12 @@ class Controller:
         self.switch_ports = {}  # NodeId -> sorted port list
         self.switch_macs = {}  # NodeId -> mac
         self._switch_by_mac = {}
-        self.adjacency = {}  # (switch, neighbor) -> AdjacencyEntry
+        self.adjacency = {}  # (switch, neighbor) -> port on switch toward neighbor
         self._neighbors = None  # switch -> neighbors by index, built from adjacency
         self._parents = {}  # source switch -> its breadth-first parent table
         self.dcs = []  # dc_id -> DataCenterRecord
         self.dcs_by_ip = {}
-        self.sched = SchedulerState.empty(config.job_energy_wh)
+        self.sched = SchedulerState(config.job_energy_wh)
         self.decide = get_scheduler(config.scheduler)
         self.packet_in_count = 0
         self.auth_failures = 0
@@ -204,12 +202,7 @@ class Controller:
             # a new edge can shorten paths; a rediscovered one only renews its port
             self._neighbors = None
             self._parents = {}
-        self.adjacency[(pkt_in.switch, origin)] = AdjacencyEntry(
-            switch=pkt_in.switch,
-            neighbor=origin,
-            port=pkt_in.port,
-            neighbor_mac=pkt.eth_src,
-        )
+        self.adjacency[(pkt_in.switch, origin)] = pkt_in.port
         self._log(
             now,
             "ev=adjacency sw=%s neighbor=%s port=%d" % (pkt_in.switch, origin, pkt_in.port),
@@ -289,24 +282,24 @@ class Controller:
 
     def _handle_request(self, pkt_in, now):
         pkt = pkt_in.packet
-        flow_id = str(pkt.payload.get("flow_id", format_ip(pkt.ip_src)))
+        flow_id = str(pkt.payload["flow_id"]) if "flow_id" in pkt.payload else format_ip(pkt.ip_src)
         if not self.dcs:
             self._log(now, "ev=drop reason=no_datacenter flow=%s" % flow_id)
             return ControllerResponse(dropped="no_datacenter")
-        decision = self.decide(self.sched)
-        rec = self.dcs[decision.dc_index]
+        dc_index, score = self.decide(self.sched)
+        rec = self.dcs[dc_index]
         try:
             path = self.compute_path(pkt_in.switch, rec.switch)
         except NoPath:
             # undo the placement: the job never reaches the data center
-            self.sched.assigned[decision.dc_index] -= 1
+            self.sched.assigned[dc_index] -= 1
             self._log(now, "ev=drop reason=no_path flow=%s dc=d%d" % (flow_id, rec.dc_id))
             return ControllerResponse(dropped="no_path")
         mods = self.install_path(path, pkt.ip_src, pkt_in.port, rec)
         self._log(
             now,
             "ev=decision flow=%s dc=d%d sw=%s score=%.6f"
-            % (flow_id, rec.dc_id, rec.switch, decision.scores[decision.dc_index]),
+            % (flow_id, rec.dc_id, rec.switch, score),
         )
         forwarded = Packet(
             kind=pkt.kind,
@@ -319,11 +312,10 @@ class Controller:
         if rec.switch == pkt_in.switch:
             out_port = rec.port
         else:
-            out_port = self.adjacency[(pkt_in.switch, path[1])].port
+            out_port = self.adjacency[(pkt_in.switch, path[1])]
         return ControllerResponse(
             flow_mods=mods,
             packets=[PacketOut(pkt_in.switch, out_port, forwarded)],
-            decision=decision,
         )
 
     # -- paths and rules ---------------------------------------------------
@@ -378,7 +370,7 @@ class Controller:
             if i == len(path) - 1:
                 actions.append(("output", rec.port))
             else:
-                actions.append(("output", self.adjacency[(sw, path[i + 1])].port))
+                actions.append(("output", self.adjacency[(sw, path[i + 1])]))
             mods.append(
                 FlowMod(
                     switch=sw,
@@ -389,7 +381,7 @@ class Controller:
                     idle_timeout=timeout,
                 )
             )
-            back_port = ingress_port if i == 0 else self.adjacency[(sw, path[i - 1])].port
+            back_port = ingress_port if i == 0 else self.adjacency[(sw, path[i - 1])]
             mods.append(
                 FlowMod(
                     switch=sw,

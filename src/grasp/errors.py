@@ -24,10 +24,6 @@ class EmptyFleet(GraspError):
     """A scheduling decision was requested with no data centers registered."""
 
 
-class LengthMismatch(GraspError):
-    """An energy vector does not match the number of data centers."""
-
-
 class AlreadyConnected(GraspError):
     """A switch sent a second connect event."""
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
+from .scheduler import SCHEDULERS
 
 SWITCH = "switch"
 DATACENTER = "datacenter"
@@ -21,7 +22,7 @@ CLIENT = "client"
 _KIND_PREFIX = {SWITCH: "s", DATACENTER: "d", CLIENT: "c"}
 _KIND_CODE = {SWITCH: 0, DATACENTER: 1, CLIENT: 2}
 
-SCHEDULER_NAMES = ("green_aware", "round_robin")
+SCHEDULER_NAMES = tuple(SCHEDULERS)
 
 # Energy reports must at least carry this parameter; the scheduler keys on it.
 GREEN_ENERGY_PARAM = "green_energy_wh"
@@ -114,16 +115,6 @@ class DataCenterRecord:
     switch: NodeId
     port: int
     passcode: str  # hex text, as sent in the register_ack
-
-
-@dataclass
-class AdjacencyEntry:
-    """Discovered neighbor: packets from `switch` reach `neighbor` via `port`."""
-
-    switch: NodeId
-    neighbor: NodeId
-    port: int
-    neighbor_mac: int
 
 
 @dataclass

@@ -1,59 +1,39 @@
-"""Job placement policies.
+"""Job placement policies, one decision at a time.
 
+This module is the one statement of each policy: protocol mode calls it
+per client request, and the tests replay it to check fast mode's kernels.
 Both schedulers share one mutable state: the latest reported green energy
 per data center and the number of jobs already placed there during the
 current hour.  The green-aware policy sends each job to the data center
 with the most spare green capacity, measured in jobs: reported energy
 divided by the per-job energy, minus jobs already assigned.  Ties go to
 the lowest index, so with no energy anywhere it degrades into an exact
-round robin.
+round robin.  A decision returns `(dc_index, score)`.
 """
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from .errors import EmptyFleet, LengthMismatch, ValidationError
+from .errors import EmptyFleet, ValidationError
 
 
 class SchedulerState:
-    """Per-hour scheduling state over the registered data centers."""
+    """Per-hour scheduling state over the registered data centers.
 
-    def __init__(self, energy_wh, job_energy_wh, assigned=None, rr_cursor=0):
-        self.energy_wh = np.asarray(energy_wh, dtype=np.float64)
-        if assigned is None:
-            assigned = np.zeros(self.energy_wh.shape[0], dtype=np.int64)
-        self.assigned = np.asarray(assigned, dtype=np.int64)
-        if self.assigned.shape != self.energy_wh.shape:
-            raise LengthMismatch(
-                f"assigned has shape {self.assigned.shape}, energy {self.energy_wh.shape}"
-            )
+    It starts with no data centers; `add_dc` grows `energy_wh` and
+    `assigned`, two lists indexed by data center.
+    """
+
+    def __init__(self, job_energy_wh):
         if job_energy_wh <= 0:
             raise ValidationError("job_energy_wh", "must be > 0")
         self.job_energy_wh = float(job_energy_wh)
-        self.rr_cursor = int(rr_cursor)
-
-    @property
-    def m(self):
-        return self.energy_wh.shape[0]
-
-    @classmethod
-    def empty(cls, job_energy_wh):
-        return cls(np.zeros(0), job_energy_wh)
+        self.energy_wh = []
+        self.assigned = []
+        self.rr_cursor = 0
 
     def add_dc(self, energy_wh=0.0):
-        """Grow the fleet by one data center; returns its column index."""
-        self.energy_wh = np.append(self.energy_wh, float(energy_wh))
-        self.assigned = np.append(self.assigned, 0)
-        return self.m - 1
-
-
-@dataclass
-class Decision:
-    """One placement: chosen column and the score vector that chose it."""
-
-    dc_index: int
-    scores: np.ndarray
+        """Grow the fleet by one data center; returns its index."""
+        self.energy_wh.append(float(energy_wh))
+        self.assigned.append(0)
+        return len(self.assigned) - 1
 
 
 def green_aware_decide(state):
@@ -62,22 +42,25 @@ def green_aware_decide(state):
     Score per data center: energy_wh / job_energy_wh - assigned.  The
     lowest index wins ties.
     """
-    if state.m == 0:
+    if not state.assigned:
         raise EmptyFleet("no data centers registered")
-    scores = state.energy_wh / state.job_energy_wh - state.assigned
-    pick = int(np.argmax(scores))  # first occurrence of the max: lowest index wins
+    k = state.job_energy_wh
+    scores = [e / k - a for e, a in zip(state.energy_wh, state.assigned)]
+    best = max(scores)
+    pick = scores.index(best)  # first occurrence of the max: lowest index wins
     state.assigned[pick] += 1
-    return Decision(dc_index=pick, scores=scores)
+    return pick, best
 
 
 def round_robin_decide(state):
-    """Place one job on the next data center in cyclic order."""
-    if state.m == 0:
+    """Place one job on the next data center in cyclic order; scores 0."""
+    m = len(state.assigned)
+    if not m:
         raise EmptyFleet("no data centers registered")
-    pick = state.rr_cursor % state.m
-    state.rr_cursor = (pick + 1) % state.m
+    pick = state.rr_cursor % m
+    state.rr_cursor = (pick + 1) % m
     state.assigned[pick] += 1
-    return Decision(dc_index=pick, scores=np.zeros(state.m))
+    return pick, 0.0
 
 
 SCHEDULERS = {
@@ -95,4 +78,4 @@ def get_scheduler(name):
 
 def reset_hour(state):
     """Start a new hour: zero assignments; energy and cursor kept."""
-    state.assigned[:] = 0
+    state.assigned[:] = [0] * len(state.assigned)

@@ -118,12 +118,14 @@ def test_criterion_5_packet_in_accounting():
     rep = geni_hour_report()
     registrations = sum(1 for line in rep.trace if "ev=register " in line)
     discovery_receipts = sum(1 for line in rep.trace if "ev=packet_in" in line and "kind=discover" in line)
+    reports = sum(1 for line in rep.trace if "ev=packet_in" in line and "kind=report" in line)
     flows = {m.group(1) for m in (re.search(r"ev=decision flow=(\S+)", l) for l in rep.trace) if m}
-    expected = registrations + discovery_receipts + len(flows)
+    expected = registrations + discovery_receipts + reports + len(flows)
     check(
         rep.packet_in_count == expected,
-        "criterion 5: packet-ins == registrations + discovery receipts + distinct "
-        "flows (%d == %d + %d + %d)" % (rep.packet_in_count, registrations, discovery_receipts, len(flows)),
+        "criterion 5: packet-ins == registrations + discovery receipts + energy reports + "
+        "distinct flows (%d == %d + %d + %d + %d)"
+        % (rep.packet_in_count, registrations, discovery_receipts, reports, len(flows)),
     )
 
 
@@ -248,4 +250,22 @@ def test_criterion_9_seeded_runs_are_byte_identical(tmp_path):
         identical and len(names) == 5,
         "criterion 9: reruns of run/sweep/gen-energy and same-seed reruns of scenario are "
         "byte-identical (%s)" % ", ".join(names),
+    )
+
+
+def test_criterion_10_1h_demo_is_green_aware():
+    # the demo runs at midday, so reports steer placement away from round robin
+    reports = {}
+    for sched in ("green_aware", "round_robin"):
+        scen = read_json(data_path("scenario_geni_1h.json"))
+        scen["config"] = read_json(data_path(scen["config"]))
+        scen["config"]["scheduler"] = sched
+        reports[sched] = run_scenario(scen, base_dir=data_path(), seed=0)
+    green, rr = (reports[s].per_dc_jobs.tolist() for s in ("green_aware", "round_robin"))
+    decisions = [line for line in reports["green_aware"].trace if "ev=decision" in line]
+    scores = [float(line.rsplit("score=", 1)[1]) for line in decisions]
+    check(
+        green != rr and len(scores) == 10 and max(scores) > 0,
+        "criterion 10: the 1 h demo places by green energy, not round robin "
+        "(green %s, round robin %s, best score %.3f)" % (green, rr, max(scores, default=0.0)),
     )

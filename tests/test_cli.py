@@ -95,9 +95,10 @@ def test_scenario_command(tmp_path, capsys):
                    "--trace-out", str(trace))
     assert code == 0
     printed = capsys.readouterr().out
-    assert "packet_ins=31" in printed
+    assert "packet_ins=139" in printed
     assert "auth_failures=0" in printed
-    assert "d0 elmira_corning_regional jobs=2" in printed
+    assert "d0 elmira_corning_regional jobs=0" in printed
+    assert "d3 homestead jobs=10" in printed
     assert trace.read_text().count("ev=decision") == 10
 
 
@@ -109,7 +110,7 @@ def test_scenario_trace_of_1h_demo_is_pinned(tmp_path):
         assert run_cli("scenario", "--scenario", data_path("scenario_geni_1h.json"),
                        "--seed", seed, "--trace-out", str(trace)) == 0
         digest = hashlib.sha256(trace.read_bytes()).hexdigest()
-        assert digest == "d8da1119f009f4c0b05d709f5664907dc6c6a1685f1fc37e9dc2e751685eac5b"
+        assert digest == "e302ec5162e4de7ec209cf1a9e0ba9193b8177a6efb2dc474e130819aca72225"
 
 
 def test_gen_energy(tmp_path):
@@ -210,18 +211,6 @@ def test_usage_errors_exit_one():
         run_cli("sweep", "--mode", "k", "--range", "1:2:1", "--energy-dir", "x",
                 "--out", "y", "--scheduler", "round_robin")
     assert err.value.code == 1
-
-
-def test_seed_env_fallback(tmp_path, monkeypatch):
-    scenario = data_path("scenario_geni_1h.json")
-    monkeypatch.setenv("GRASP_SEED", "not-a-number")
-    assert run_cli("scenario", "--scenario", scenario) == 1
-    monkeypatch.setenv("GRASP_SEED", "11")
-    assert run_cli("scenario", "--scenario", scenario, "--trace-out", str(tmp_path / "env.txt")) == 0
-    monkeypatch.delenv("GRASP_SEED")
-    assert run_cli("scenario", "--seed", "11", "--scenario", scenario,
-                   "--trace-out", str(tmp_path / "flag.txt")) == 0
-    assert (tmp_path / "env.txt").read_bytes() == (tmp_path / "flag.txt").read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -153,9 +154,9 @@ def test_discovery_builds_adjacency():
     controller = make(topo)
     a, b, c = (NodeId(SWITCH, i) for i in range(3))
     assert set(controller.adjacency) == {(a, b), (b, a), (b, c), (c, b)}
-    assert controller.adjacency[(a, b)].port == 1
-    assert controller.adjacency[(b, c)].port == 2
-    assert controller.adjacency[(c, b)].neighbor_mac == topo.addresses[b].mac
+    assert controller.adjacency[(a, b)] == 1
+    assert controller.adjacency[(b, c)] == 2
+    assert controller.adjacency[(c, b)] == 1
 
 
 def test_discovery_rejects_forgeries():
@@ -239,7 +240,7 @@ def test_registration_handshake():
     assert ack.payload["parameters"] == ["green_energy_wh"]
     assert ack.payload["report_period"] == 3600.0
     assert len(ack.payload["passcode"]) == 32
-    assert controller.sched.m == 1
+    assert len(controller.sched.assigned) == 1
     assert controller.dcs[0].name == "dc_far"
 
 
@@ -253,7 +254,7 @@ def test_reregistration_keeps_id_rotates_passcode():
     again = resp.packets[0].packet.payload
     assert again["dc_id"] == first["dc_id"] == 0
     assert again["passcode"] != first["passcode"]
-    assert controller.sched.m == 1
+    assert len(controller.sched.assigned) == 1
     assert controller.dcs[0].switch == NodeId(SWITCH, 0)
     assert controller.dcs[0].port == 3
 
@@ -269,7 +270,7 @@ def test_report_updates_energy():
     att = topo.datacenters[0]
     pkt = report_packet(topo, att.node, passcode, {"green_energy_wh": 42.5})
     controller.on_packet_in(PacketIn(att.switch, att.port, pkt))
-    assert controller.sched.energy_wh.tolist() == [42.5]
+    assert controller.sched.energy_wh == [42.5]
     assert controller.auth_failures == 0
 
 
@@ -283,7 +284,7 @@ def test_report_auth_failures():
     stranger = Packet("report", 7, 0, 0x0A09090A, 0, {"passcode": "", "values": {}})
     assert controller.on_packet_in(PacketIn(att.switch, att.port, stranger)).dropped == "unknown_reporter"
     assert controller.auth_failures == 2
-    assert controller.sched.energy_wh.tolist() == [0.0]
+    assert controller.sched.energy_wh == [0.0]
 
 
 def test_report_value_validation():
@@ -300,7 +301,7 @@ def test_report_value_validation():
         bad = report_packet(topo, att.node, passcode, values)
         assert controller.on_packet_in(PacketIn(att.switch, att.port, bad)).dropped == "bad_report", values
     # a NaN accepted here would win every later argmax and draw every job
-    assert controller.sched.energy_wh.tolist() == [42.5]
+    assert controller.sched.energy_wh == [42.5]
     assert controller.auth_failures == 0  # malformed values are not auth failures
 
 
@@ -328,7 +329,7 @@ def test_fuzzed_report_values_never_steer_placement(values):
         controller.on_packet_in(PacketIn(att.switch, att.port, report_packet(topo, att.node, passcode, values)))
     except (GraspError, OSError):
         pass
-    (energy,) = controller.sched.energy_wh.tolist()
+    (energy,) = controller.sched.energy_wh
     assert math.isfinite(energy) and energy >= 0
 
 
@@ -355,8 +356,8 @@ def test_request_installs_path_and_rewrites():
     controller.sched.energy_wh[0] = 5.0
     cl, pkt = client_request(topo)
     resp = controller.on_packet_in(PacketIn(cl.switch, cl.port, pkt))
-    assert resp.decision.dc_index == 0
-    assert controller.sched.assigned.tolist() == [1]
+    assert controller.trace[-1] == "t=0.000 ev=decision flow=f1 dc=d0 sw=s2 score=5.000000"
+    assert controller.sched.assigned == [1]
 
     # a -> b -> c, forward and reverse rules on each hop
     assert len(resp.flow_mods) == 6
@@ -388,6 +389,31 @@ def test_request_installs_path_and_rewrites():
     assert out.packet.ip_src == client_ip
 
 
+def test_request_without_flow_id_logs_the_client_ip():
+    topo = line_topology()
+    controller = make(topo)
+    register(controller, topo)
+    cl = topo.clients[0]
+    addr = topo.addresses[cl.node]
+    pkt = Packet("request", addr.mac, 0, addr.ip, SERVICE_IP)
+    controller.on_packet_in(PacketIn(cl.switch, cl.port, pkt))
+    assert controller.trace[-1] == "t=0.000 ev=decision flow=10.2.0.1 dc=d0 sw=s2 score=0.000000"
+
+
+def test_huge_report_places_with_an_infinite_score_and_no_warning():
+    topo = line_topology()
+    controller = make(topo, job_energy_wh=0.5)
+    passcode = register(controller, topo).packets[0].packet.payload["passcode"]
+    att = topo.datacenters[0]
+    report = report_packet(topo, att.node, passcode, {"green_energy_wh": 1e308})
+    cl, pkt = client_request(topo)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        controller.on_packet_in(PacketIn(att.switch, att.port, report))
+        controller.on_packet_in(PacketIn(cl.switch, cl.port, pkt))
+    assert controller.trace[-1] == "t=0.000 ev=decision flow=f1 dc=d0 sw=s2 score=inf"
+
+
 def test_request_same_switch_short_path():
     topo = topology_from_dict(
         {
@@ -416,7 +442,7 @@ def test_request_no_path_rolls_back_assignment():
     cl, pkt = client_request(topo)
     resp = controller.on_packet_in(PacketIn(cl.switch, cl.port, pkt))
     assert resp.dropped == "no_path"
-    assert controller.sched.assigned.tolist() == [0]
+    assert controller.sched.assigned == [0]
 
 
 def test_compute_path():
@@ -458,8 +484,8 @@ def test_on_hour_resets_assignments_only():
     controller.sched.assigned[0] = 5
     controller.sched.rr_cursor = 1
     controller.on_hour(1, now=3600.0)
-    assert controller.sched.energy_wh.tolist() == [7.0]
-    assert controller.sched.assigned.tolist() == [0]
+    assert controller.sched.energy_wh == [7.0]
+    assert controller.sched.assigned == [0]
     assert controller.sched.rr_cursor == 1
 
 
@@ -480,11 +506,13 @@ def test_round_robin_config_drives_decisions():
     register(controller, topo, 1)
     controller.sched.energy_wh[1] = 99.0  # round robin must ignore this
     cl, _ = client_request(topo)
-    picks = []
     for i in range(4):
         _, pkt = client_request(topo, flow_id="f%d" % i)
-        picks.append(controller.on_packet_in(PacketIn(cl.switch, cl.port, pkt)).decision.dc_index)
-    assert picks == [0, 1, 0, 1]
+        controller.on_packet_in(PacketIn(cl.switch, cl.port, pkt))
+    decisions = [line for line in controller.trace if "ev=decision" in line]
+    assert decisions == [
+        "t=0.000 ev=decision flow=f%d dc=d%d sw=s0 score=0.000000" % (i, i % 2) for i in range(4)
+    ]
 
 
 def test_seeded_credentials_are_reproducible():

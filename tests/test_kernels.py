@@ -3,15 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grasp._kernels import _greedy_hour_loop, greedy_hour, round_robin
-from grasp.scheduler import SchedulerState, green_aware_decide, round_robin_decide
+from grasp._kernels import greedy_hour, round_robin
+from grasp.scheduler import SchedulerState, green_aware_decide, reset_hour, round_robin_decide
 
 
-def sequential_greedy(scores0, jobs):
-    st = SchedulerState(np.asarray(scores0, dtype=float), 1.0)
+def sequential_greedy(capacity, jobs):
+    """Loads of `jobs` green-aware decisions over one hour's capacities."""
+    state = SchedulerState(1.0)  # energy / 1.0 is the capacity itself
+    for c in capacity.tolist():
+        state.add_dc(c)
     for _ in range(jobs):
-        green_aware_decide(st)
-    return st.assigned.copy()
+        green_aware_decide(state)
+    return state.assigned
 
 
 def random_instances(n, seed):
@@ -25,14 +28,9 @@ def random_instances(n, seed):
         yield scores0, jobs
 
 
-def test_loop_matches_sequential_scheduler():
-    for scores0, jobs in random_instances(150, seed=1):
-        assert np.array_equal(_greedy_hour_loop(scores0, jobs), sequential_greedy(scores0, jobs))
-
-
 def test_numpy_kernel_matches_loop():
     for scores0, jobs in random_instances(400, seed=2):
-        assert np.array_equal(greedy_hour(scores0, jobs), _greedy_hour_loop(scores0, jobs))
+        assert greedy_hour(scores0, jobs).tolist() == sequential_greedy(scores0, jobs)
 
 
 def test_greedy_edges():
@@ -48,7 +46,7 @@ def test_greedy_swaps_where_keys_round_into_ties():
     # goes to site 0, and one swap must move a job from site 2 to site 0
     c = np.array([float.fromhex(h) for h in ("0x1.929a6494ef746p-1", "0x1.929a6494ef748p-1",
                                               "0x1.929a6494ef748p-1")])
-    assert _greedy_hour_loop(c, 11).tolist() == [4, 4, 3]
+    assert sequential_greedy(c, 11) == [4, 4, 3]
     assert greedy_hour(c, 11).tolist() == [4, 4, 3]
     assert greedy_hour(np.stack([c, c[::-1]]), 11).tolist() == [[4, 4, 3], [4, 4, 3]]
 
@@ -60,7 +58,7 @@ def test_bundled_hours_match_loop(site_profiles, k, jobs):
     lit = energy.max(axis=1) > 0
     dawn = np.flatnonzero(lit[1:] & ~lit[:-1]) + 1
     dusk = np.flatnonzero(lit[:-1] & ~lit[1:])
-    # the whole year where the oracle is quick; at 900 jobs every dawn and
+    # the whole year where the replay is quick; at 900 jobs every dawn and
     # dusk hour, where capacities are small and fractional, and a spread
     hours = np.arange(len(energy))
     if jobs > 12:
@@ -69,7 +67,7 @@ def test_bundled_hours_match_loop(site_profiles, k, jobs):
     loads = greedy_hour(capacity, jobs)
     assert loads.shape == capacity.shape
     for row, got in zip(capacity, loads):
-        assert np.array_equal(got, _greedy_hour_loop(row, jobs))
+        assert got.tolist() == sequential_greedy(row, jobs)
 
 
 def test_round_robin_closed_form():
@@ -83,12 +81,14 @@ def test_round_robin_matches_sequential():
     for _ in range(100):
         m = int(rng.integers(1, 9))
         jobs = int(rng.integers(0, 40))
-        st = SchedulerState(np.zeros(m), 1.0)
+        st = SchedulerState(1.0)
+        for _ in range(m):
+            st.add_dc()
         for loads in round_robin(3, m, jobs):
-            st.assigned[:] = 0
+            reset_hour(st)
             for _ in range(jobs):
                 round_robin_decide(st)
-            assert loads.tolist() == st.assigned.tolist()
+            assert loads.tolist() == st.assigned
 
 
 @settings(max_examples=80, deadline=None)
@@ -117,4 +117,4 @@ def test_greedy_numpy_equivalence_property(data):
     loads = greedy_hour(capacity, jobs)
     assert loads.shape == (hours, m)
     for row, got in zip(capacity, loads):
-        assert np.array_equal(got, _greedy_hour_loop(row, jobs))
+        assert got.tolist() == sequential_greedy(row, jobs)

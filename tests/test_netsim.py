@@ -193,7 +193,7 @@ def geni_hour():
 
 def test_scenario_counts(geni_hour):
     rep = geni_hour
-    assert rep.per_dc_jobs.tolist() == [2, 1, 1, 1, 1, 1, 1, 1, 1]
+    assert rep.per_dc_jobs.tolist() == [0, 0, 0, 10, 0, 0, 0, 0, 0]
     assert rep.auth_failures == 0
     assert len(rep.deliveries) == 10
     assert [f for f, _, _ in rep.deliveries[:3]] == ["f1", "f3", "f5"]
@@ -224,7 +224,7 @@ def test_scenario_seed_changes_credentials_not_outcomes(geni_hour):
 
 def test_scenario_snapshots_and_expiry(geni_hour):
     rep = geni_hour
-    assert set(rep.snapshots) == {500.0, 3500.0}
+    assert set(rep.snapshots) == {43700.0, 46700.0}
     # long after the last packet, only the permanent table-miss rules remain
     for snap in rep.snapshots.values():
         lines = snap.split("\n")
@@ -440,8 +440,10 @@ def test_scenario_packet_in_formula(geni_hour):
     rep = geni_hour
     registrations = sum(1 for line in rep.trace if "ev=register " in line)
     receipts = sum(1 for line in rep.trace if "kind=discover" in line)
+    reports = sum(1 for line in rep.trace if "kind=report" in line)
     flows = len({f for f, _, _ in rep.deliveries})
-    assert rep.packet_in_count == registrations + receipts + flows
+    assert reports == 9 * 12  # hourly from every DC, 1 h to 12 h
+    assert rep.packet_in_count == registrations + receipts + reports + flows
 
 
 # JSON values for mutations; ints stay small (or past the float range) so a
