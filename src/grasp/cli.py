@@ -11,12 +11,10 @@ Exit codes: 0 success, 1 invalid input or flag values, 2 I/O failure.
 """
 
 import argparse
-import json
+import math
 import os
 import sys
 import tempfile
-
-import numpy as np
 
 from .datafiles import load_profiles_dir, load_site_csv
 from .energy import SYNTH_SHAPES, profile_csv_text, synth_profile
@@ -25,6 +23,8 @@ from .experiment import metrics_csv_text, run_year, sweep_csv_text, sweep_k, swe
 from .model import SCHEDULER_NAMES, ControllerConfig, load_config, load_topology
 from .netsim import run_scenario
 from .svgchart import line_chart
+
+MAX_SWEEP_POINTS = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,6 +62,8 @@ def _positive(flag, value):
 
 def _load_run_config(args, scheduler=None):
     if args.k is not None:
+        if not math.isfinite(args.k):
+            raise ValidationError("--k", "must be a finite number")
         _positive("--k", args.k)
     config = load_config(args.config) if args.config else ControllerConfig()
     return config.with_overrides(scheduler=scheduler, job_energy_wh=args.k)
@@ -113,12 +115,17 @@ def _parse_range(text):
         start, end, step = (float(p) for p in parts)
     except ValueError:
         raise ValidationError("--range", "non-numeric part in %r" % text)
+    if not all(math.isfinite(v) for v in (start, end, step)):
+        raise ValidationError("--range", "parts must be finite numbers, got %r" % text)
     if step <= 0:
         raise ValidationError("--range", "step must be > 0")
     if end < start:
         raise ValidationError("--range", "end below start")
-    n = int(np.floor((end - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(n)]
+    steps = (end - start) / step + 1e-9
+    # every point runs two scheduler years; a longer range is a typo, not a sweep
+    if not steps < MAX_SWEEP_POINTS:
+        raise ValidationError("--range", "%r has more than %d points" % (text, MAX_SWEEP_POINTS))
+    return [start + i * step for i in range(math.floor(steps) + 1)]
 
 
 def cmd_sweep(args):

@@ -18,13 +18,7 @@ from typing import NamedTuple
 
 from .energy import valid_energy
 from .errors import AlreadyConnected, NoPath, UnknownSwitch
-from .model import (
-    GREEN_ENERGY_PARAM,
-    DataCenterRecord,
-    NodeId,
-    format_ip,
-    parse_ip,
-)
+from .model import DataCenterRecord, NodeId, format_ip, parse_ip
 from .scheduler import SchedulerState, get_scheduler, reset_hour
 
 BROADCAST_MAC = 0xFFFFFFFFFFFF
@@ -37,6 +31,10 @@ FLOW_PRIORITY = 10
 PERMANENT = 0.0  # idle_timeout value meaning "never expires"
 
 PASSCODE_BYTES = 16
+
+# The one thing a data center reports: a report payload is
+# {"passcode": ..., GREEN_ENERGY_PARAM: Wh}, and the scheduler keys on it.
+GREEN_ENERGY_PARAM = "green_energy_wh"
 
 
 class Packet(NamedTuple):
@@ -247,7 +245,6 @@ class Controller:
             payload={
                 "dc_id": rec.dc_id,
                 "passcode": rec.passcode,
-                "parameters": list(self.config.parameters),
                 "report_period": self.config.report_period,
             },
         )
@@ -264,20 +261,12 @@ class Controller:
             self.auth_failures += 1
             self._log(now, "ev=auth_fail reason=bad_passcode dc=d%d" % rec.dc_id)
             return ControllerResponse(dropped="bad_passcode")
-        values = pkt.payload.get("values")
-        if not isinstance(values, dict) or not all(
-            key in self.config.parameters and valid_energy(val) for key, val in values.items()
-        ):
+        energy = pkt.payload.get(GREEN_ENERGY_PARAM)
+        if not valid_energy(energy):
             self._log(now, "ev=drop reason=bad_report dc=d%d" % rec.dc_id)
             return ControllerResponse(dropped="bad_report")
-        if GREEN_ENERGY_PARAM in values:
-            self.sched.energy_wh[rec.dc_id] = float(values[GREEN_ENERGY_PARAM])
-            self._log(
-                now,
-                "ev=report dc=d%d green_energy_wh=%.6f" % (rec.dc_id, values[GREEN_ENERGY_PARAM]),
-            )
-        else:
-            self._log(now, "ev=report dc=d%d" % rec.dc_id)
+        self.sched.energy_wh[rec.dc_id] = float(energy)
+        self._log(now, "ev=report dc=d%d green_energy_wh=%.6f" % (rec.dc_id, energy))
         return ControllerResponse()
 
     def _handle_request(self, pkt_in, now):

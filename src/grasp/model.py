@@ -24,9 +24,6 @@ _KIND_CODE = {SWITCH: 0, DATACENTER: 1, CLIENT: 2}
 
 SCHEDULER_NAMES = tuple(SCHEDULERS)
 
-# Energy reports must at least carry this parameter; the scheduler keys on it.
-GREEN_ENERGY_PARAM = "green_energy_wh"
-
 
 class NodeId(NamedTuple):
     """Stable identity of a node: kind plus position in its topology list.
@@ -287,8 +284,6 @@ class PanelConfig:
 
 @dataclass
 class ControllerConfig:
-    parameters: list = field(default_factory=lambda: [GREEN_ENERGY_PARAM])
-    weights: list = field(default_factory=lambda: [1.0])
     report_period: float = 3600.0
     flow_idle_timeout: float = 2.0
     scheduler: str = "green_aware"
@@ -308,12 +303,6 @@ class ControllerConfig:
 
 
 def validate_config(cfg):
-    _require(isinstance(cfg.parameters, list) and cfg.parameters, "parameters", "must be a non-empty list")
-    _require(all(isinstance(p, str) and p for p in cfg.parameters), "parameters", "entries must be non-empty strings")
-    _require(len(set(cfg.parameters)) == len(cfg.parameters), "parameters", "duplicate parameter name")
-    _require(GREEN_ENERGY_PARAM in cfg.parameters, "parameters", f"must include {GREEN_ENERGY_PARAM!r}")
-    _require(isinstance(cfg.weights, list) and len(cfg.weights) == len(cfg.parameters), "weights", "must match parameters in length")
-    _require(all(isinstance(w, (int, float)) for w in cfg.weights), "weights", "entries must be numbers")
     _require(cfg.report_period > 0, "report_period", "must be > 0")
     _require(cfg.flow_idle_timeout > 0, "flow_idle_timeout", "must be > 0")
     _require(cfg.scheduler in SCHEDULER_NAMES, "scheduler", f"must be one of {SCHEDULER_NAMES}")
@@ -326,23 +315,25 @@ def validate_config(cfg):
     return cfg
 
 
+# Keys of the old multi-factor report format.  The benchmark's generated
+# scenario (perfbench/workloads.py) is the only caller that still sends
+# them, so they load at exactly these values and nothing else; the next
+# change to the benchmark deletes them there, and this table with them.
+_RETIRED_KEYS = {"parameters": ["green_energy_wh"], "weights": [1.0]}
+
+
 def config_from_dict(data):
     _require(isinstance(data, dict), "config", "top level must be a JSON object")
-    known = {
-        "parameters", "weights", "report_period", "flow_idle_timeout",
-        "scheduler", "job_energy_wh", "nsrdb", "panel",
-    }
-    for key in data:
-        _require(key in known, key, "unknown config key")
+    known = {"report_period", "flow_idle_timeout", "scheduler", "job_energy_wh", "nsrdb", "panel"}
+    for key, value in data.items():
+        if key in _RETIRED_KEYS:
+            fixed = _RETIRED_KEYS[key]
+            # repr, so [1] or [true] for [1.0] is refused too
+            _require(repr(value) == repr(fixed), key, f"retired key, accepted only as {fixed!r}")
+        else:
+            _require(key in known, key, "unknown config key")
 
     cfg = ControllerConfig()
-    if "parameters" in data:
-        cfg.parameters = data["parameters"]
-        # default weight vector tracks an explicit parameter list
-        if "weights" not in data and isinstance(data["parameters"], list):
-            cfg.weights = [1.0] * len(data["parameters"])
-    if "weights" in data:
-        cfg.weights = data["weights"]
     for key in ("report_period", "flow_idle_timeout", "job_energy_wh"):
         if key in data:
             setattr(cfg, key, _number(data[key], key))
@@ -350,10 +341,10 @@ def config_from_dict(data):
         cfg.scheduler = data["scheduler"]
     nsrdb = data.get("nsrdb", {})
     _require(isinstance(nsrdb, dict), "nsrdb", "must be an object")
-    if "temp_column" in nsrdb:
-        cfg.nsrdb_temp_column = nsrdb["temp_column"]
-    if "ghi_column" in nsrdb:
-        cfg.nsrdb_ghi_column = nsrdb["ghi_column"]
+    for key, value in nsrdb.items():
+        _require(key in ("temp_column", "ghi_column"), f"nsrdb.{key}", "unknown nsrdb key")
+        _require(isinstance(value, str) and value, f"nsrdb.{key}", "must be a non-empty string")
+        setattr(cfg, f"nsrdb_{key}", value)
     panel = data.get("panel", {})
     _require(isinstance(panel, dict), "panel", "must be an object")
     panel_fields = {

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import SERVICE_IP, Controller, Packet, PacketIn, match_text
+from .controller import GREEN_ENERGY_PARAM, SERVICE_IP, Controller, Packet, PacketIn, match_text
 from .energy import HOURS_PER_YEAR, build_profile, load_profile_csv, parse_nsrdb_csv, synth_profile
 from .errors import ScriptError, ValidationError
 from .model import (
@@ -370,8 +370,8 @@ class Simulation:
         if agent["dc_id"] is None:
             return
         hour = int(now // SECONDS_PER_HOUR) % len(agent["script"].profile.wh)
-        values = {"green_energy_wh": float(agent["script"].profile.wh[hour])}
-        self._emit_from_host(now, node, "report", {"passcode": agent["passcode"], "values": values})
+        energy = float(agent["script"].profile.wh[hour])
+        self._emit_from_host(now, node, "report", {"passcode": agent["passcode"], GREEN_ENERGY_PARAM: energy})
         self._schedule_report(now, node, agent["period"])
 
     def _schedule_report(self, now, node, period):
@@ -556,12 +556,17 @@ def load_scenario(source, base_dir=None):
         name = _object(raw, "agent").get("dc")
         if not isinstance(name, str) or name not in dc_names:
             raise ScriptError(f"agent references unknown data center {name!r}")
+        if any(a.dc_name == name for a in agents):
+            raise ScriptError(f"data center {name!r} has two agents")
+        respond = raw.get("respond", False)
+        if not isinstance(respond, bool):
+            raise ScriptError(f"respond for {name!r} must be true or false, got {respond!r}")
         agents.append(
             AgentScript(
                 dc_name=name,
                 register_at=_seconds(raw.get("register_at", 0.5), f"register_at for {name!r}", minimum=0.0),
                 profile=_resolve_profile(raw.get("profile", {"shape": "zero"}), base_dir, config),
-                respond=bool(raw.get("respond", False)),
+                respond=respond,
             )
         )
 

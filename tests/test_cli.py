@@ -223,3 +223,44 @@ def test_seed_only_on_scenario(argv):
     with pytest.raises(SystemExit) as err:
         run_cli(*argv, "--seed", "3")
     assert err.value.code == 1
+
+
+@pytest.mark.parametrize("text", ["nan:1:1", "0:inf:1", "-inf:1:1", "0:1:nan", "0:1e308:1e-308", "0:1e300:1e-5"])
+def test_sweep_rejects_ranges_it_cannot_step(tmp_path, capsys, text):
+    code = run_cli("sweep", "--mode", "k", "--range=" + text, "--energy-dir", data_path("sites"),
+                   "--hours", "24", "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: --range: ")
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--energy-dir", data_path("sites"), "--hours", "24"],
+    ["sweep", "--mode", "load", "--range", "100:200:100", "--energy-dir", data_path("sites"),
+     "--hours", "24", "--out", "never.csv"],
+])
+@pytest.mark.parametrize("k", ["inf", "-inf", "nan"])
+def test_non_finite_k_is_rejected(tmp_path, capsys, monkeypatch, argv, k):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "--k=" + k) == 1
+    assert capsys.readouterr().err.startswith("error: --k: ")
+    assert not (tmp_path / "never.csv").exists()
+
+
+@pytest.mark.parametrize("retired", [
+    {"parameters": ["green_energy_wh", "cpu_load"]},
+    {"parameters": []},
+    {"weights": [0.1, 99]},
+    {"weights": [1]},
+])
+def test_validate_refuses_retired_keys_at_other_values(tmp_path, capsys, retired):
+    with open(data_path("controller.json")) as fh:
+        config = json.load(fh)
+    config.update(retired)
+    path = tmp_path / "controller.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("validate", "--config", str(path)) == 1
+    assert capsys.readouterr().err.startswith("error: %s: retired key" % next(iter(retired)))
+    config.update({"parameters": ["green_energy_wh"], "weights": [1.0]})
+    path.write_text(json.dumps(config))
+    assert run_cli("validate", "--config", str(path)) == 0

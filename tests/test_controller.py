@@ -9,13 +9,15 @@ from grasp.controller import (
     BROADCAST_MAC,
     CONTROLLER_IP,
     FLOW_PRIORITY,
+    GREEN_ENERGY_PARAM,
     SERVICE_IP,
     TABLE_MISS_PRIORITY,
     Controller,
     Packet,
     PacketIn,
 )
-from grasp.errors import AlreadyConnected, GraspError, NoPath, UnknownSwitch
+from grasp.energy import valid_energy
+from grasp.errors import AlreadyConnected, NoPath, UnknownSwitch
 from grasp.model import (
     SWITCH,
     ControllerConfig,
@@ -236,8 +238,8 @@ def test_registration_handshake():
     assert ack.kind == "register_ack"
     assert ack.ip_src == CONTROLLER_IP
     assert ack.ip_dst == topo.addresses[att.node].ip
+    assert sorted(ack.payload) == ["dc_id", "passcode", "report_period"]
     assert ack.payload["dc_id"] == 0
-    assert ack.payload["parameters"] == ["green_energy_wh"]
     assert ack.payload["report_period"] == 3600.0
     assert len(ack.payload["passcode"]) == 32
     assert len(controller.sched.assigned) == 1
@@ -259,8 +261,8 @@ def test_reregistration_keeps_id_rotates_passcode():
     assert controller.dcs[0].port == 3
 
 
-def report_packet(topo, node, passcode, values):
-    return host_packet(topo, node, "report", {"passcode": passcode, "values": values})
+def report_packet(topo, node, passcode, energy):
+    return host_packet(topo, node, "report", {"passcode": passcode, GREEN_ENERGY_PARAM: energy})
 
 
 def test_report_updates_energy():
@@ -268,9 +270,10 @@ def test_report_updates_energy():
     controller = make(topo)
     passcode = register(controller, topo).packets[0].packet.payload["passcode"]
     att = topo.datacenters[0]
-    pkt = report_packet(topo, att.node, passcode, {"green_energy_wh": 42.5})
-    controller.on_packet_in(PacketIn(att.switch, att.port, pkt))
+    pkt = report_packet(topo, att.node, passcode, 42.5)
+    assert controller.on_packet_in(PacketIn(att.switch, att.port, pkt)).dropped is None
     assert controller.sched.energy_wh == [42.5]
+    assert controller.trace[-1] == "t=0.000 ev=report dc=d0 green_energy_wh=42.500000"
     assert controller.auth_failures == 0
 
 
@@ -279,9 +282,9 @@ def test_report_auth_failures():
     controller = make(topo)
     register(controller, topo)
     att = topo.datacenters[0]
-    bad = report_packet(topo, att.node, "00" * 16, {"green_energy_wh": 1.0})
+    bad = report_packet(topo, att.node, "00" * 16, 1.0)
     assert controller.on_packet_in(PacketIn(att.switch, att.port, bad)).dropped == "bad_passcode"
-    stranger = Packet("report", 7, 0, 0x0A09090A, 0, {"passcode": "", "values": {}})
+    stranger = Packet("report", 7, 0, 0x0A09090A, 0, {"passcode": "", GREEN_ENERGY_PARAM: 1.0})
     assert controller.on_packet_in(PacketIn(att.switch, att.port, stranger)).dropped == "unknown_reporter"
     assert controller.auth_failures == 2
     assert controller.sched.energy_wh == [0.0]
@@ -292,17 +295,35 @@ def test_report_value_validation():
     controller = make(topo)
     passcode = register(controller, topo).packets[0].packet.payload["passcode"]
     att = topo.datacenters[0]
-    good = report_packet(topo, att.node, passcode, {"green_energy_wh": 42.5})
+    good = report_packet(topo, att.node, passcode, 42.5)
     controller.on_packet_in(PacketIn(att.switch, att.port, good))
-    bad_values = [{"water_usage": 3.0}, {"green_energy_wh": "lots"}] + [
-        {"green_energy_wh": v} for v in (float("nan"), float("inf"), -5.0, True)
+    bad_payloads = [
+        {"passcode": passcode},  # no energy field
+        {"passcode": passcode, "water_usage": 3.0},
+        # the retired multi-factor format nests the value; it carries no energy field
+        {"passcode": passcode, "values": {GREEN_ENERGY_PARAM: 5.0}},
+    ] + [
+        {"passcode": passcode, GREEN_ENERGY_PARAM: v}
+        for v in ("lots", None, float("nan"), float("inf"), -5.0, True, 10**400, [1.0], {"wh": 1.0})
     ]
-    for values in bad_values:
-        bad = report_packet(topo, att.node, passcode, values)
-        assert controller.on_packet_in(PacketIn(att.switch, att.port, bad)).dropped == "bad_report", values
+    for payload in bad_payloads:
+        bad = host_packet(topo, att.node, "report", payload)
+        assert controller.on_packet_in(PacketIn(att.switch, att.port, bad)).dropped == "bad_report", payload
+        assert controller.trace[-1] == "t=0.000 ev=drop reason=bad_report dc=d0"
     # a NaN accepted here would win every later argmax and draw every job
     assert controller.sched.energy_wh == [42.5]
     assert controller.auth_failures == 0  # malformed values are not auth failures
+
+
+def test_report_ignores_keys_beside_the_energy_field():
+    topo = line_topology()
+    controller = make(topo)
+    passcode = register(controller, topo).packets[0].packet.payload["passcode"]
+    att = topo.datacenters[0]
+    payload = {"passcode": passcode, GREEN_ENERGY_PARAM: 7, "cpu_load": "high"}
+    resp = controller.on_packet_in(PacketIn(att.switch, att.port, host_packet(topo, att.node, "report", payload)))
+    assert resp.dropped is None
+    assert controller.sched.energy_wh == [7.0]
 
 
 REPORT_VALUES = st.recursive(
@@ -313,24 +334,32 @@ REPORT_VALUES = st.recursive(
     | st.floats()
     | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.sampled_from(["green_energy_wh", "cpu_load"]) | st.text(max_size=4), inner, max_size=3),
+    | st.dictionaries(st.sampled_from([GREEN_ENERGY_PARAM, "cpu_load"]) | st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(values=REPORT_VALUES)
-def test_fuzzed_report_values_never_steer_placement(values):
+@given(
+    energy=REPORT_VALUES,
+    extra=st.dictionaries(st.sampled_from(["values", "cpu_load"]) | st.text(max_size=4), REPORT_VALUES, max_size=2),
+    with_energy=st.booleans(),
+)
+def test_fuzzed_report_values_never_steer_placement(energy, extra, with_energy):
     topo = line_topology()
     controller = make(topo)
     passcode = register(controller, topo).packets[0].packet.payload["passcode"]
     att = topo.datacenters[0]
-    try:
-        controller.on_packet_in(PacketIn(att.switch, att.port, report_packet(topo, att.node, passcode, values)))
-    except (GraspError, OSError):
-        pass
-    (energy,) = controller.sched.energy_wh
-    assert math.isfinite(energy) and energy >= 0
+    payload = {k: v for k, v in extra.items() if k != GREEN_ENERGY_PARAM}
+    payload["passcode"] = passcode
+    if with_energy:
+        payload[GREEN_ENERGY_PARAM] = energy
+    resp = controller.on_packet_in(PacketIn(att.switch, att.port, host_packet(topo, att.node, "report", payload)))
+    accepted = with_energy and valid_energy(energy)
+    assert resp.dropped == (None if accepted else "bad_report")
+    (stored,) = controller.sched.energy_wh
+    assert math.isfinite(stored) and stored >= 0
+    assert stored == (float(energy) if accepted else 0.0)
 
 
 def client_request(topo, flow_id="f1"):
@@ -405,7 +434,7 @@ def test_huge_report_places_with_an_infinite_score_and_no_warning():
     controller = make(topo, job_energy_wh=0.5)
     passcode = register(controller, topo).packets[0].packet.payload["passcode"]
     att = topo.datacenters[0]
-    report = report_packet(topo, att.node, passcode, {"green_energy_wh": 1e308})
+    report = report_packet(topo, att.node, passcode, 1e308)
     cl, pkt = client_request(topo)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -168,26 +168,20 @@ def test_load_topology_bad_json(tmp_path):
 
 def test_config_defaults():
     cfg = config_from_dict({})
-    assert cfg.parameters == ["green_energy_wh"]
-    assert cfg.weights == [1.0]
     assert cfg.report_period == 3600.0
     assert cfg.flow_idle_timeout == 2.0
     assert cfg.scheduler == "green_aware"
     assert cfg.job_energy_wh == 1.0
 
 
-def test_config_weights_track_parameters():
-    cfg = config_from_dict({"parameters": ["green_energy_wh", "cpu_load"]})
-    assert cfg.weights == [1.0, 1.0]
-    with pytest.raises(ValidationError):
-        config_from_dict({"parameters": ["green_energy_wh", "cpu_load"], "weights": [1.0]})
+def test_retired_keys_load_only_at_their_fixed_values():
+    # perfbench's generated scenario still sends both keys at these values
+    assert config_from_dict({"parameters": ["green_energy_wh"], "weights": [1.0]}) == ControllerConfig()
 
 
 @pytest.mark.parametrize(
     "data",
     [
-        {"parameters": []},
-        {"parameters": ["cpu_load"]},
         {"scheduler": "fifo"},
         {"job_energy_wh": 0},
         {"report_period": -1},
@@ -199,7 +193,21 @@ def test_config_weights_track_parameters():
         {"flow_idle_timeout": True},
         {"job_energy_wh": 10**400},
         {"panel": {"reference_temp_c": float("nan")}},
+        {"nsrdb": {"temp_colum": "x"}},
+        {"nsrdb": {"ghi_column": 5}},
+        {"nsrdb": {"temp_column": ""}},
+        {"nsrdb": {"temp_column": None}},
+        {"nsrdb": ["temp_column"]},
+        {"parameters": []},
+        {"parameters": ["cpu_load"]},
+        {"parameters": ["green_energy_wh", "cpu_load"]},
+        {"parameters": "green_energy_wh"},
         {"weights": 5},
+        {"weights": [0.1, 99]},
+        {"weights": [2.0]},
+        {"weights": [1]},
+        {"weights": [True]},
+        {"weights": []},
     ],
 )
 def test_config_rejects(data):

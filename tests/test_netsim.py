@@ -366,6 +366,9 @@ HOSTILE = {
     "agent_not_object": lambda s: s.__setitem__("agents", [5]),
     "agents_not_list": lambda s: s.__setitem__("agents", 5),
     "agent_dc_unhashable": lambda s: s["agents"].append({"dc": ["dc"]}),
+    "agent_respond_string": lambda s: s["agents"][0].__setitem__("respond", "no"),
+    "agent_respond_int": lambda s: s["agents"][0].__setitem__("respond", 1),
+    "agent_twice_for_one_dc": lambda s: s["agents"].append(dict(s["agents"][0])),
     "flow_not_object": lambda s: s["clients"][0].__setitem__("flows", [3]),
     "flows_not_list": lambda s: s["clients"][0].__setitem__("flows", "t1"),
     "client_not_object": lambda s: s.__setitem__("clients", ["cl"]),
