@@ -57,6 +57,7 @@ from .model import (
 SECONDS_PER_HOUR = 3600.0
 LAST_TICK = 2**53  # past here whole seconds are no longer exact floats
 MAX_HORIZON = HOURS_PER_YEAR * SECONDS_PER_HOUR  # one profile year
+SCENARIO_KEYS = {"topology", "config", "horizon", "agents", "clients", "switch_connects", "snapshot_times"}
 
 
 def idle_deadline(last_hit, timeout, horizon):
@@ -492,6 +493,14 @@ def _object(value, what):
     return value
 
 
+def _keys(value, allowed, what):
+    """Refuse any key of a scenario object that the format does not read."""
+    for key in value:
+        if key not in allowed:
+            raise ScriptError(f"unknown key {key!r} in {what}")
+    return value
+
+
 def _path(base_dir, value, what):
     if not isinstance(value, str) or not value or "\0" in value:
         raise ScriptError(f"{what} must be a file path, got {value!r}")
@@ -501,13 +510,16 @@ def _path(base_dir, value, what):
 def _resolve_profile(spec, base_dir, config):
     _object(spec, "agent profile")
     if "weather_csv" in spec:
+        _keys(spec, {"weather_csv"}, "agent profile")
         path = _path(base_dir, spec["weather_csv"], "weather_csv")
         weather = parse_nsrdb_csv(path, temp_column=config.nsrdb_temp_column, ghi_column=config.nsrdb_ghi_column)
         return build_profile(weather, panel=config.panel, site=os.path.basename(path))
     if "profile_csv" in spec:
+        _keys(spec, {"profile_csv"}, "agent profile")
         path = _path(base_dir, spec["profile_csv"], "profile_csv")
         return load_profile_csv(path, site=os.path.basename(path))
     if "shape" in spec:
+        _keys(spec, {"shape", "peak_wh"}, "agent profile")
         try:
             return synth_profile(spec["shape"], spec.get("peak_wh", 0.0))
         except ValidationError as exc:
@@ -519,8 +531,9 @@ def load_scenario(source, base_dir=None):
     """Parse a scenario file (or dict) into topology, config and scripts.
 
     Lists and objects must be lists and objects, times finite numbers of
-    seconds and counts non-negative integers; anything else raises
-    ScriptError (ParseError/ValidationError inside topology and config).
+    seconds and counts non-negative integers, every key one the format
+    reads and every flow id unique; anything else raises ScriptError
+    (ParseError/ValidationError inside topology and config).
     """
     if isinstance(source, (str, os.PathLike)):
         base_dir = os.path.dirname(os.path.abspath(source))
@@ -528,7 +541,7 @@ def load_scenario(source, base_dir=None):
     else:
         data = source
         base_dir = base_dir or "."
-    _object(data, "scenario")
+    _keys(_object(data, "scenario"), SCENARIO_KEYS, "scenario")
 
     topo_spec = data.get("topology")
     if isinstance(topo_spec, str):
@@ -553,7 +566,7 @@ def load_scenario(source, base_dir=None):
     dc_names = {a.name for a in topology.datacenters}
     agents = []
     for raw in _list(data.get("agents", []), "agents"):
-        name = _object(raw, "agent").get("dc")
+        name = _keys(_object(raw, "agent"), {"dc", "register_at", "respond", "profile"}, "agent").get("dc")
         if not isinstance(name, str) or name not in dc_names:
             raise ScriptError(f"agent references unknown data center {name!r}")
         if any(a.dc_name == name for a in agents):
@@ -577,8 +590,10 @@ def load_scenario(source, base_dir=None):
         if not isinstance(name, str) or name not in client_names:
             raise ScriptError(f"workload references unknown client {name!r}")
         if "flows" in raw:
+            _keys(raw, {"client", "flows"}, f"workload of {name!r}")
             for f in _list(raw["flows"], f"flows of {name!r}"):
-                open_at = _seconds(_object(f, f"flow of {name!r}").get("open_at"), f"open_at in flow for {name!r}", 0.0)
+                _keys(_object(f, f"flow of {name!r}"), {"id", "open_at", "data_at"}, f"flow of {name!r}")
+                open_at = _seconds(f.get("open_at"), f"open_at in flow for {name!r}", 0.0)
                 if "id" not in f:
                     raise ScriptError(f"explicit flow for {name!r} needs an id")
                 data_at = tuple(
@@ -587,6 +602,7 @@ def load_scenario(source, base_dir=None):
                 )
                 flows.append(ClientFlow(name, str(f["id"]), open_at, data_at))
         elif "rate_per_hour" in raw:
+            _keys(raw, {"client", "rate_per_hour", "hours", "data_packets"}, f"workload of {name!r}")
             rate = _count(raw["rate_per_hour"], "rate_per_hour")
             hour_list = _list(raw.get("hours", list(range(int(horizon // SECONDS_PER_HOUR)))), "hours")
             n_data = _count(raw.get("data_packets", 0), "data_packets")
@@ -602,13 +618,18 @@ def load_scenario(source, base_dir=None):
                     flows.append(ClientFlow(name, f"{name}-h{h}-{i}", open_at, data_at))
         else:
             raise ScriptError(f"client {name!r} needs flows or rate_per_hour")
+    ids = set()
+    for flow in flows:
+        if flow.flow_id in ids:
+            raise ScriptError(f"flow id {flow.flow_id!r} is used twice")
+        ids.add(flow.flow_id)
 
     connects = []
     raw_connects = data.get("switch_connects")
     if raw_connects is None:
         raw_connects = [{"switch": n} for n in topology.switch_names]
     for c in _list(raw_connects, "switch_connects"):
-        switch = _object(c, "switch_connects entry").get("switch")
+        switch = _keys(_object(c, "switch_connects entry"), {"switch", "at"}, "switch_connects entry").get("switch")
         if switch not in topology.switch_names:
             raise ScriptError(f"unknown switch in switch_connects: {switch!r}")
         connects.append({"switch": switch, "at": _seconds(c.get("at", 0.0), f"connect time of {switch!r}")})

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grasp._kernels import greedy_hour, round_robin
+from grasp._kernels import LIMIT, _certify, greedy_hour, round_robin
 from grasp.scheduler import SchedulerState, green_aware_decide, reset_hour, round_robin_decide
 
 
@@ -42,8 +44,9 @@ def test_greedy_edges():
 
 def test_greedy_swaps_where_keys_round_into_ties():
     # sites 1 and 2 lead site 0 by two ulps, so the level starts the loads
-    # at [3, 4, 4]; but every key c - 3 rounds to the same float, the tie
-    # goes to site 0, and one swap must move a job from site 2 to site 0
+    # at [4, 4, 4], one over, and by exact keys site 0's last key c - 3
+    # ranks lowest; but every key c - 3 rounds to the same float, so the
+    # tie ranks site 2 lowest and its job is the one that comes off
     c = np.array([float.fromhex(h) for h in ("0x1.929a6494ef746p-1", "0x1.929a6494ef748p-1",
                                               "0x1.929a6494ef748p-1")])
     assert sequential_greedy(c, 11) == [4, 4, 3]
@@ -68,6 +71,56 @@ def test_bundled_hours_match_loop(site_profiles, k, jobs):
     assert loads.shape == capacity.shape
     for row, got in zip(capacity, loads):
         assert got.tolist() == sequential_greedy(row, jobs)
+
+
+def test_certify_finishes_a_start_one_job_off_per_site():
+    rng = np.random.default_rng(5)
+    for scores0, jobs in random_instances(300, seed=6):
+        want = sequential_greedy(scores0, jobs)
+        start = np.clip(np.array(want) + rng.integers(-1, 2, len(want)), 0, jobs)
+        while start.sum() > jobs:  # lower a raised site, so each stays within one
+            start[rng.choice(np.flatnonzero(start > want))] -= 1
+        got = _certify(scores0[None, :], start[None, :], jobs)
+        assert got[0].tolist() == want
+
+
+def test_certify_raises_past_its_round_bound():
+    # m + 2 jobs from nothing need m + 2 fills, two more than m rounds
+    for m in (1, 3, 8):
+        cap = np.zeros((2, m))
+        with pytest.raises(RuntimeError, match="more than %d" % m):
+            _certify(cap, np.zeros((2, m), dtype=np.int64), m + 2)
+    assert _certify(np.zeros((1, 3)), np.zeros((1, 3), dtype=np.int64), 3).tolist() == [[1, 1, 1]]
+
+
+# capacities just under LIMIT, where a float key c - i is off by up to 1/32
+# and replaying 2**47 decisions is out of reach
+NEAR = math.nextafter(LIMIT, 0.0)
+HUGE = st.floats(-NEAR, NEAR) | st.sampled_from([NEAR, -NEAR, 0.0, 2.0**47 + 0.5, 2.0**47 - 1 / 3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_greedy_is_optimal_past_the_oracle(data):
+    m = data.draw(st.integers(1, 8))
+    jobs = data.draw(st.integers(0, 2**48 - 1) | st.sampled_from([2**48 - 1, 2**47]))
+    base = data.draw(HUGE)
+    # rows of independent values, and rows a few ulps or whole jobs apart
+    near = st.builds(lambda k, step: min(max(base + k * step, -NEAR), NEAR),
+                     st.integers(-3, 3), st.sampled_from([2**-5, 2**-4, 0.5, 1.0, 3.0]))
+    rows = data.draw(st.lists(st.lists(HUGE | near, min_size=m, max_size=m), min_size=1, max_size=4))
+    capacity = np.array(rows)
+    loads = greedy_hour(capacity, jobs)
+    assert ((loads >= 0) & (loads <= jobs)).all()
+    assert (loads.sum(axis=1) == jobs).all()
+    # in the order (key desc, index asc), the worst taken key ranks above
+    # the best untaken one: the loads are the top `jobs` keys
+    taken = np.where(loads > 0, capacity - (loads - 1), np.inf)
+    untaken = np.where(loads < jobs, capacity - loads, -np.inf)
+    for t, u in zip(taken.tolist(), untaken.tolist()):
+        worst = max((-key, d) for d, key in enumerate(t))
+        best = min((-key, d) for d, key in enumerate(u))
+        assert worst < best
 
 
 def test_round_robin_closed_form():

@@ -6,6 +6,7 @@ import json
 import math
 import numbers
 import os
+import re
 import tempfile
 import time
 import weakref
@@ -397,6 +398,25 @@ HOSTILE = {
     "horizon_one_ulp_past_a_year": lambda s: s.__setitem__("horizon", math.nextafter(8760 * 3600.0, INF)),
     "weather_csv_not_path": lambda s: s["agents"][0].__setitem__("profile", {"weather_csv": 5}),
     "profile_csv_nul": lambda s: s["agents"][0].__setitem__("profile", {"profile_csv": "a\0b"}),
+    # keys the format does not read, misspelled or beside the ones in use
+    "unknown_top_level_key": lambda s: s.__setitem__("horizn", 12.0),
+    "unknown_agent_key": lambda s: s["agents"][0].__setitem__("repsond", True),
+    "unknown_profile_key": lambda s: s["agents"][0]["profile"].__setitem__("peak", 4.0),
+    "profile_with_two_sources": lambda s: s["agents"][0]["profile"].__setitem__("weather_csv", "x.csv"),
+    "unknown_workload_key": lambda s: s["clients"][0].__setitem__("flow", []),
+    "flows_beside_rate": lambda s: s["clients"][0].__setitem__("rate_per_hour", 1),
+    "unknown_rate_workload_key": set_rate("data_packet", 1),
+    "unknown_flow_key": set_flow("dat_at", [2.5]),
+    "unknown_connect_key": lambda s: s.__setitem__("switch_connects", [{"switch": "s", "at": 0.0, "when": 1.0}]),
+    # a repeated flow id makes two flows that deliveries cannot tell apart;
+    # hour 0's one generated flow, cl-h0-0, opens at 1800 s
+    "flow_id_twice": lambda s: s["clients"][0]["flows"].append({"id": "t1", "open_at": 3.0}),
+    "hours_entry_twice": lambda s: (s.__setitem__("horizon", 3600.0), set_rate("hours", [0, 0])(s)),
+    "flow_id_of_a_generated_flow": lambda s: (
+        s.__setitem__("horizon", 3600.0),
+        s["clients"][0]["flows"][0].__setitem__("id", "cl-h0-0"),
+        set_rate("hours", [0])(s),
+    ),
 }
 
 
@@ -411,6 +431,24 @@ def test_scenario_rejects_hostile_input(mutate, tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["scenario", "--scenario", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (HOSTILE["unknown_top_level_key"], "unknown key 'horizn' in scenario"),
+        (HOSTILE["unknown_agent_key"], "unknown key 'repsond' in agent"),
+        (HOSTILE["unknown_profile_key"], "unknown key 'peak' in agent profile"),
+        (HOSTILE["unknown_flow_key"], "unknown key 'dat_at' in flow of 'cl'"),
+        (HOSTILE["flow_id_twice"], "flow id 't1' is used twice"),
+        (HOSTILE["hours_entry_twice"], "flow id 'cl-h0-0' is used twice"),
+    ],
+)
+def test_scenario_errors_name_the_key_or_id(mutate, message):
+    scen = tiny_scenario()
+    mutate(scen)
+    with pytest.raises(ScriptError, match=re.escape(message)):
+        load_scenario(scen)
 
 
 def test_horizon_of_one_profile_year_loads():
