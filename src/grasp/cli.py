@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 invalid input or flag values, 2 I/O failure.
 """
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -35,16 +36,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _write_atomic(path, text):
+@contextlib.contextmanager
+def _atomic_file(path):
+    """A text file to write `path` through: a temporary file beside it,
+    renamed over it when the block ends and removed if the block fails."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".grasp-", suffix=".tmp")
     try:
-        # mkstemp creates 0600; give the output the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            # mkstemp creates 0600; give the output the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -102,7 +106,8 @@ def cmd_run(args):
     )
     print("r_avg=%.6f" % report.r_avg)
     if args.out:
-        _write_atomic(args.out, metrics_csv_text([report]))
+        with _atomic_file(args.out) as fh:
+            fh.write(metrics_csv_text([report]))
         print("wrote %s" % args.out)
     return 0
 
@@ -156,7 +161,8 @@ def cmd_sweep(args):
             hours=args.hours,
         )
         xlabel = "jobs per hour"
-    _write_atomic(args.out, sweep_csv_text(rows))
+    with _atomic_file(args.out) as fh:
+        fh.write(sweep_csv_text(rows))
     print("rows=%d wrote %s" % (len(rows), args.out))
     if args.svg:
         xs = [r[0] for r in rows]
@@ -165,13 +171,17 @@ def cmd_sweep(args):
             ("round robin", [r[2] for r in rows]),
         ]
         svg = line_chart(xs, series, title="r_avg vs %s" % xlabel, xlabel=xlabel, ylabel="r_avg")
-        _write_atomic(args.svg, svg)
+        with _atomic_file(args.svg) as fh:
+            fh.write(svg)
         print("wrote %s" % args.svg)
     return 0
 
 
 def cmd_scenario(args):
-    report = run_scenario(args.scenario, seed=args.seed)
+    # the trace streams into its file as the run goes; without one no line is made
+    with _atomic_file(args.trace_out) if args.trace_out else contextlib.nullcontext() as fh:
+        emit = None if fh is None else (lambda line: fh.write(line + "\n"))
+        report = run_scenario(args.scenario, seed=args.seed, emit=emit)
     print(
         "packet_ins=%d auth_failures=%d deliveries=%d"
         % (report.packet_in_count, report.auth_failures, len(report.deliveries))
@@ -179,14 +189,14 @@ def cmd_scenario(args):
     for i, name in enumerate(report.dc_names):
         print("d%d %s jobs=%d" % (i, name, report.per_dc_jobs[i]))
     if args.trace_out:
-        _write_atomic(args.trace_out, "".join(line + "\n" for line in report.trace))
         print("wrote %s" % args.trace_out)
     return 0
 
 
 def cmd_gen_energy(args):
     profile = synth_profile(args.shape, args.peak_wh)
-    _write_atomic(args.out, profile_csv_text(profile))
+    with _atomic_file(args.out) as fh:
+        fh.write(profile_csv_text(profile))
     print("wrote %s (%d hours)" % (args.out, len(profile.wh)))
     return 0
 

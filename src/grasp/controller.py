@@ -96,9 +96,9 @@ def match_text(src, dst):
 
 
 class Controller:
-    def __init__(self, config, seed=0, trace=None):
+    def __init__(self, config, seed=0, emit=None):
         self.config = config
-        self.trace = trace if trace is not None else []
+        self.emit = emit  # takes each trace line as it happens; None formats no line
         self._rng = random.Random(seed)
         self.discovery_token = self._rng.randbytes(PASSCODE_BYTES).hex()
 
@@ -115,9 +115,6 @@ class Controller:
         self.packet_in_count = 0
         self.auth_failures = 0
 
-    def _log(self, now, line):
-        self.trace.append("t=%.3f %s" % (now, line))
-
     # -- switch lifecycle ------------------------------------------------
 
     def on_switch_connect(self, switch, ports, mac, now=0.0):
@@ -132,7 +129,8 @@ class Controller:
         self.switch_ports[switch] = sorted(ports)
         self.switch_macs[switch] = mac
         self._switch_by_mac[mac] = switch
-        self._log(now, "ev=connect sw=%s ports=%d" % (switch, len(ports)))
+        if self.emit is not None:
+            self.emit("t=%.3f ev=connect sw=%s ports=%d" % (now, switch, len(ports)))
 
         miss = FlowMod(
             switch=switch,
@@ -164,7 +162,8 @@ class Controller:
     def on_hour(self, hour, now=0.0):
         """Hour boundary: jobs of the old hour are done, counters restart."""
         reset_hour(self.sched)
-        self._log(now, "ev=hour_reset hour=%d" % hour)
+        if self.emit is not None:
+            self.emit("t=%.3f ev=hour_reset hour=%d" % (now, hour))
 
     # -- packet-in dispatch ----------------------------------------------
 
@@ -173,11 +172,11 @@ class Controller:
             raise UnknownSwitch(f"packet-in from unconnected switch {pkt_in.switch}")
         self.packet_in_count += 1
         pkt = pkt_in.packet
-        self._log(
-            now,
-            "ev=packet_in sw=%s port=%d kind=%s src=%s"
-            % (pkt_in.switch, pkt_in.port, pkt.kind, format_ip(pkt.ip_src)),
-        )
+        if self.emit is not None:
+            self.emit(
+                "t=%.3f ev=packet_in sw=%s port=%d kind=%s src=%s"
+                % (now, pkt_in.switch, pkt_in.port, pkt.kind, format_ip(pkt.ip_src))
+            )
         if pkt.kind == "discover":
             return self._handle_discover(pkt_in, now)
         if pkt.kind == "register":
@@ -190,21 +189,21 @@ class Controller:
     def _handle_discover(self, pkt_in, now):
         pkt = pkt_in.packet
         if pkt.payload.get("token") != self.discovery_token:
-            self._log(now, "ev=drop reason=bad_token sw=%s" % (pkt_in.switch,))
+            if self.emit is not None:
+                self.emit("t=%.3f ev=drop reason=bad_token sw=%s" % (now, pkt_in.switch))
             return ControllerResponse(dropped="bad_token")
         origin = self._switch_by_mac.get(pkt.eth_src)
         if origin is None or origin == pkt_in.switch:
-            self._log(now, "ev=drop reason=bad_discover_origin sw=%s" % (pkt_in.switch,))
+            if self.emit is not None:
+                self.emit("t=%.3f ev=drop reason=bad_discover_origin sw=%s" % (now, pkt_in.switch))
             return ControllerResponse(dropped="bad_discover_origin")
         if (pkt_in.switch, origin) not in self.adjacency:
             # a new edge can shorten paths; a rediscovered one only renews its port
             self._neighbors = None
             self._parents = {}
         self.adjacency[(pkt_in.switch, origin)] = pkt_in.port
-        self._log(
-            now,
-            "ev=adjacency sw=%s neighbor=%s port=%d" % (pkt_in.switch, origin, pkt_in.port),
-        )
+        if self.emit is not None:
+            self.emit("t=%.3f ev=adjacency sw=%s neighbor=%s port=%d" % (now, pkt_in.switch, origin, pkt_in.port))
         return ControllerResponse()
 
     def _handle_register(self, pkt_in, now):
@@ -231,11 +230,10 @@ class Controller:
             rec.switch = pkt_in.switch
             rec.port = pkt_in.port
             rec.passcode = passcode
-        self._log(
-            now,
-            "ev=register dc=d%d name=%s sw=%s port=%d"
-            % (rec.dc_id, rec.name, rec.switch, rec.port),
-        )
+        if self.emit is not None:
+            self.emit(
+                "t=%.3f ev=register dc=d%d name=%s sw=%s port=%d" % (now, rec.dc_id, rec.name, rec.switch, rec.port)
+            )
         ack = Packet(
             kind="register_ack",
             eth_src=0,
@@ -255,25 +253,32 @@ class Controller:
         rec = self.dcs_by_ip.get(pkt.ip_src)
         if rec is None:
             self.auth_failures += 1
-            self._log(now, "ev=auth_fail reason=unknown_reporter src=%s" % format_ip(pkt.ip_src))
+            if self.emit is not None:
+                self.emit("t=%.3f ev=auth_fail reason=unknown_reporter src=%s" % (now, format_ip(pkt.ip_src)))
             return ControllerResponse(dropped="unknown_reporter")
         if pkt.payload.get("passcode") != rec.passcode:
             self.auth_failures += 1
-            self._log(now, "ev=auth_fail reason=bad_passcode dc=d%d" % rec.dc_id)
+            if self.emit is not None:
+                self.emit("t=%.3f ev=auth_fail reason=bad_passcode dc=d%d" % (now, rec.dc_id))
             return ControllerResponse(dropped="bad_passcode")
         energy = pkt.payload.get(GREEN_ENERGY_PARAM)
         if not valid_energy(energy):
-            self._log(now, "ev=drop reason=bad_report dc=d%d" % rec.dc_id)
+            if self.emit is not None:
+                self.emit("t=%.3f ev=drop reason=bad_report dc=d%d" % (now, rec.dc_id))
             return ControllerResponse(dropped="bad_report")
         self.sched.energy_wh[rec.dc_id] = float(energy)
-        self._log(now, "ev=report dc=d%d green_energy_wh=%.6f" % (rec.dc_id, energy))
+        if self.emit is not None:
+            self.emit("t=%.3f ev=report dc=d%d green_energy_wh=%.6f" % (now, rec.dc_id, energy))
         return ControllerResponse()
 
     def _handle_request(self, pkt_in, now):
         pkt = pkt_in.packet
-        flow_id = str(pkt.payload["flow_id"]) if "flow_id" in pkt.payload else format_ip(pkt.ip_src)
+        emit = self.emit
+        if emit is not None:  # the flow's name in the trace
+            flow_id = str(pkt.payload["flow_id"]) if "flow_id" in pkt.payload else format_ip(pkt.ip_src)
         if not self.dcs:
-            self._log(now, "ev=drop reason=no_datacenter flow=%s" % flow_id)
+            if emit is not None:
+                emit("t=%.3f ev=drop reason=no_datacenter flow=%s" % (now, flow_id))
             return ControllerResponse(dropped="no_datacenter")
         dc_index, score = self.decide(self.sched)
         rec = self.dcs[dc_index]
@@ -282,14 +287,12 @@ class Controller:
         except NoPath:
             # undo the placement: the job never reaches the data center
             self.sched.assigned[dc_index] -= 1
-            self._log(now, "ev=drop reason=no_path flow=%s dc=d%d" % (flow_id, rec.dc_id))
+            if emit is not None:
+                emit("t=%.3f ev=drop reason=no_path flow=%s dc=d%d" % (now, flow_id, rec.dc_id))
             return ControllerResponse(dropped="no_path")
         mods = self.install_path(path, pkt.ip_src, pkt_in.port, rec)
-        self._log(
-            now,
-            "ev=decision flow=%s dc=d%d sw=%s score=%.6f"
-            % (flow_id, rec.dc_id, rec.switch, score),
-        )
+        if emit is not None:
+            emit("t=%.3f ev=decision flow=%s dc=d%d sw=%s score=%.6f" % (now, flow_id, rec.dc_id, rec.switch, score))
         forwarded = Packet(
             kind=pkt.kind,
             eth_src=pkt.eth_src,

@@ -183,8 +183,14 @@ def _number(value, field_name):
     return float(value)
 
 
+def _known_keys(raw, known, where):
+    for key in raw:
+        _require(key in known, where, f"unknown key {key!r}")
+
+
 def topology_from_dict(data):
     _require(isinstance(data, dict), "topology", "top level must be a JSON object")
+    _known_keys(data, ("switches", "links", "datacenters", "clients"), "topology")
     for key in ("switches", "links", "datacenters", "clients"):
         _require(key in data, key, "missing key")
         _require(isinstance(data[key], list), key, "must be a list")
@@ -214,6 +220,7 @@ def topology_from_dict(data):
     for i, raw in enumerate(data["links"]):
         where = f"links[{i}]"
         _require(isinstance(raw, dict), where, "must be an object")
+        _known_keys(raw, ("a", "a_port", "b", "b_port"), where)
         for k in ("a", "a_port", "b", "b_port"):
             _require(k in raw, where, f"missing {k!r}")
         a = switch_of(raw["a"], where)
@@ -231,6 +238,7 @@ def topology_from_dict(data):
         for i, raw in enumerate(data[key]):
             where = f"{key}[{i}]"
             _require(isinstance(raw, dict), where, "must be an object")
+            _known_keys(raw, ("name", "switch", "port", "ip", "mac"), where)
             for k in ("name", "switch", "port"):
                 _require(k in raw, where, f"missing {k!r}")
             _require(isinstance(raw["name"], str) and raw["name"], where, "name must be a non-empty string")

@@ -108,16 +108,16 @@ class FlowTable:
     install order, so a lookup probes at most four keys per priority.
 
     Expired entries are removed before any lookup, each with an `ev=expire`
-    line on `trace`.  `oldest` holds, per idle timeout, a lower bound on
-    its rules' last hit: installs and hits lower it where they are earlier,
-    and every scan makes it exact.  Since `now - last_hit` falls as
+    line to `emit`, if any.  `oldest` holds, per idle timeout, a lower bound
+    on its rules' last hit: installs and hits lower it where they are
+    earlier, and every scan makes it exact.  Since `now - last_hit` falls as
     last_hit grows, `expire` scans only when a bound is due, which is exact
     for calls at any times in any order.  The table is plain data: it holds
     no reference to a simulation, which arms its expiry ticks."""
 
-    def __init__(self, switch=None, trace=None):
+    def __init__(self, switch=None, emit=None):
         self.switch = switch
-        self.trace = trace if trace is not None else []
+        self.emit = emit
         self.rules = {}
         self.priorities = ()  # every priority ever installed, highest first
         self.oldest = {}  # idle timeout -> lower bound on its rules' last_hit
@@ -153,11 +153,11 @@ class FlowTable:
                 elif r.last_hit < oldest.get(timeout, math.inf):
                     oldest[timeout] = r.last_hit
         self.oldest = oldest
+        emit = self.emit
         for rule in dead:
             del self.rules[rule.priority, rule.match_src, rule.match_dst]
-            self.trace.append(
-                "t=%.3f ev=expire sw=%s match=%s" % (now, self.switch, match_text(rule.match_src, rule.match_dst))
-            )
+            if emit is not None:
+                emit("t=%.3f ev=expire sw=%s match=%s" % (now, self.switch, match_text(rule.match_src, rule.match_dst)))
         return dead
 
     def lookup(self, packet, now):
@@ -212,21 +212,20 @@ class SimReport:
     deliveries: list  # (flow_id, dc_id, time) in delivery order
     packet_in_count: int
     auth_failures: int
-    trace: list
     snapshots: dict  # time -> flow table dump text
     client_rx: dict  # client name -> list of received packets
     controller: Controller
 
 
 class Simulation:
-    def __init__(self, topology, config, seed=0):
+    def __init__(self, topology, config, seed=0, emit=None):
         self.topology = topology
         self.config = config
-        self.trace = []
-        self.controller = Controller(config, seed=seed, trace=self.trace)
+        self.emit = emit  # takes each trace line as it happens; None formats no line
+        self.controller = Controller(config, seed=seed, emit=emit)
         # by switch index, so the per-packet path hashes no NodeId
         switches = [NodeId(SWITCH, i) for i in range(len(topology.switch_names))]
-        self.tables = [FlowTable(sw, self.trace) for sw in switches]
+        self.tables = [FlowTable(sw, emit) for sw in switches]
         self._ports = [topology.ports(sw) for sw in switches]
         self._hosts = {  # host NodeId -> (mac, ip, switch, port) of its access link
             att.node: (topology.addresses[att.node].mac, topology.addresses[att.node].ip, att.switch, att.port)
@@ -291,9 +290,8 @@ class Simulation:
         for out in resp.packets:
             peer = self._ports[out.switch.index].get(out.port)
             if peer is None:
-                self.trace.append(
-                    "t=%.3f ev=drop reason=bad_port sw=%s port=%d" % (now, out.switch, out.port)
-                )
+                if self.emit is not None:
+                    self.emit("t=%.3f ev=drop reason=bad_port sw=%s port=%d" % (now, out.switch, out.port))
                 continue
             node, peer_port = peer
             self.schedule(now, "deliver", (node, peer_port, out.packet))
@@ -321,7 +319,8 @@ class Simulation:
         rule = self.tables[switch.index].lookup(packet, now)
         if rule is None:
             # not connected yet: no table-miss rule, so the packet dies here
-            self.trace.append("t=%.3f ev=drop reason=no_rule sw=%s" % (now, switch))
+            if self.emit is not None:
+                self.emit("t=%.3f ev=drop reason=no_rule sw=%s" % (now, switch))
             return
         if rule.actions[-1][0] == "controller":
             pkt_in = PacketIn(switch=switch, port=in_port, packet=packet)
@@ -336,9 +335,8 @@ class Simulation:
             elif action[0] == "output":
                 peer = self._ports[switch.index].get(action[1])
                 if peer is None:
-                    self.trace.append(
-                        "t=%.3f ev=drop reason=bad_port sw=%s port=%d" % (now, switch, action[1])
-                    )
+                    if self.emit is not None:
+                        self.emit("t=%.3f ev=drop reason=bad_port sw=%s port=%d" % (now, switch, action[1]))
                     return
                 node, peer_port = peer
                 self.schedule(now, "deliver", (node, peer_port, packet))
@@ -356,7 +354,8 @@ class Simulation:
             dc_id = agent["dc_id"]
             flow_id = str(packet.payload.get("flow_id", ""))
             self.deliveries.append((flow_id, dc_id, now))
-            self.trace.append("t=%.3f ev=deliver flow=%s dc=d%d" % (now, flow_id, dc_id))
+            if self.emit is not None:
+                self.emit("t=%.3f ev=deliver flow=%s dc=d%d" % (now, flow_id, dc_id))
             if agent["script"].respond:
                 self._emit_from_host(
                     now, node, "response", {"flow_id": flow_id}, eth_dst=packet.eth_src, ip_dst=packet.ip_src
@@ -460,7 +459,6 @@ class Simulation:
             deliveries=self.deliveries,
             packet_in_count=self.controller.packet_in_count,
             auth_failures=self.controller.auth_failures,
-            trace=self.trace,
             snapshots=self.snapshots,
             client_rx=self.client_rx,
             controller=self.controller,
@@ -638,10 +636,11 @@ def load_scenario(source, base_dir=None):
     return topology, config, agents, flows, connects, snapshot_times, horizon
 
 
-def run_scenario(source, base_dir=None, seed=0):
-    """Run one scenario end to end and summarize what the data plane did."""
+def run_scenario(source, base_dir=None, seed=0, emit=None):
+    """Run one scenario end to end and summarize what the data plane did.
+    Each trace line goes to `emit`, if given, as it happens."""
     topology, config, agents, flows, connects, snapshot_times, horizon = load_scenario(source, base_dir=base_dir)
-    sim = Simulation(topology, config, seed=seed)
+    sim = Simulation(topology, config, seed=seed, emit=emit)
 
     # same-instant ordering after the tick: snapshots, then scripted traffic
     for t in sorted(snapshot_times):

@@ -5,12 +5,16 @@ single PASS/FAIL line; run with -v (or -rA) to see them all.
 """
 
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import grasp
 from grasp.cli import main as cli_main
 from grasp.datafiles import data_path
 from grasp.energy import synth_profile
@@ -111,15 +115,17 @@ def test_criterion_4_greedy_matches_brute_force():
 
 
 def geni_hour_report():
-    return run_scenario(data_path("scenario_geni_1h.json"), seed=0)
+    """The 1 h demo's report and its trace lines."""
+    trace = []
+    return run_scenario(data_path("scenario_geni_1h.json"), seed=0, emit=trace.append), trace
 
 
 def test_criterion_5_packet_in_accounting():
-    rep = geni_hour_report()
-    registrations = sum(1 for line in rep.trace if "ev=register " in line)
-    discovery_receipts = sum(1 for line in rep.trace if "ev=packet_in" in line and "kind=discover" in line)
-    reports = sum(1 for line in rep.trace if "ev=packet_in" in line and "kind=report" in line)
-    flows = {m.group(1) for m in (re.search(r"ev=decision flow=(\S+)", l) for l in rep.trace) if m}
+    rep, trace = geni_hour_report()
+    registrations = sum(1 for line in trace if "ev=register " in line)
+    discovery_receipts = sum(1 for line in trace if "ev=packet_in" in line and "kind=discover" in line)
+    reports = sum(1 for line in trace if "ev=packet_in" in line and "kind=report" in line)
+    flows = {m.group(1) for m in (re.search(r"ev=decision flow=(\S+)", l) for l in trace) if m}
     expected = registrations + discovery_receipts + reports + len(flows)
     check(
         rep.packet_in_count == expected,
@@ -130,7 +136,7 @@ def test_criterion_5_packet_in_accounting():
 
 
 def test_criterion_6_discovery_completeness():
-    rep = geni_hour_report()
+    rep, _ = geni_hour_report()
     topo = load_topology(data_path("geni.topo.json"))
     check(
         set(rep.controller.adjacency) == topo.switch_link_pairs(),
@@ -140,7 +146,7 @@ def test_criterion_6_discovery_completeness():
 
 
 def test_criterion_7_idle_timeout_from_trace():
-    rep = geni_hour_report()
+    rep, trace = geni_hour_report()
     scenario = read_json(data_path("scenario_geni_1h.json"))
     timeout = 2.0
 
@@ -158,7 +164,7 @@ def test_criterion_7_idle_timeout_from_trace():
 
     observed = set()
     expire_lines = 0
-    for line in rep.trace:
+    for line in trace:
         m = re.match(r"t=([0-9.]+) ev=expire sw=\S+ match=(\S+)", line)
         if m:
             expire_lines += 1
@@ -174,7 +180,7 @@ def test_criterion_7_idle_timeout_from_trace():
         ok = ok and all("idle=0" in line for line in snap.split("\n"))
 
     # c5 reuses its ip for a second flow after expiry: that needs a new decision
-    c5_decisions = sum(1 for line in rep.trace if "ev=decision" in line and ("flow=f7" in line or "flow=f8" in line))
+    c5_decisions = sum(1 for line in trace if "ev=decision" in line and ("flow=f7" in line or "flow=f8" in line))
     ok = ok and c5_decisions == 2
     check(
         ok,
@@ -184,23 +190,27 @@ def test_criterion_7_idle_timeout_from_trace():
     )
 
 
+def hourly_loads(site_profiles, sched, hours, **config):
+    """Per-hour, per-DC jobs of the bundled 24 h scenario's workload, run
+    for `hours` under `sched` with `config` overrides: those protocol mode
+    delivers, then those fast mode places."""
+    scen = read_json(data_path("scenario_geni_24h.json"))
+    scen["config"].update(config, scheduler=sched)
+    scen["horizon"] = hours * 3600.0
+    rep = run_scenario(scen, base_dir=data_path(), seed=0)
+    hourly = np.zeros((hours, 9), dtype=np.int64)
+    for _, dc_id, t in rep.deliveries:
+        hourly[int(t // 3600.0), dc_id] += 1
+    return hourly, run_year(site_profiles, sched, 1.0, 12, hours=hours).per_dc_load
+
+
 def protocol_matches_fast(site_profiles, hours, report_period):
-    """Per policy, whether the bundled 24 h scenario's workload, run in
-    protocol mode for `hours`, delivers the same per-hour, per-DC jobs that
-    fast mode places."""
-    results = {}
-    for sched in ("green_aware", "round_robin"):
-        scen = read_json(data_path("scenario_geni_24h.json"))
-        scen["config"]["scheduler"] = sched
-        scen["config"]["report_period"] = report_period
-        scen["horizon"] = hours * 3600.0
-        rep = run_scenario(scen, base_dir=data_path(), seed=0)
-        hourly = np.zeros((hours, 9), dtype=np.int64)
-        for _, dc_id, t in rep.deliveries:
-            hourly[int(t // 3600.0), dc_id] += 1
-        fast = run_year(site_profiles, sched, 1.0, 12, hours=hours)
-        results[sched] = np.array_equal(hourly, fast.per_dc_load)
-    return results
+    """Per policy, whether protocol mode delivers the same per-hour, per-DC
+    jobs that fast mode places."""
+    return {
+        sched: np.array_equal(*hourly_loads(site_profiles, sched, hours, report_period=report_period))
+        for sched in ("green_aware", "round_robin")
+    }
 
 
 def test_criterion_8_protocol_fast_cross_check(site_profiles):
@@ -225,6 +235,57 @@ def test_criterion_8_year_protocol_fast_cross_check(site_profiles):
         "criterion 8: %d h protocol run and fast mode place identical per-DC loads "
         "(green %s, round robin %s, %.1f s)"
         % (hours, results["green_aware"], results["round_robin"], time.perf_counter() - start),
+    )
+
+
+def test_criterion_8_modes_part_when_a_flow_rides_the_last_rule(site_profiles):
+    # each client opens a flow every 1,200 s; rules that idle out only after
+    # 1,500 s carry the second flow of each hour to the first one's data
+    # center, where fast mode places it afresh
+    protocol, fast = hourly_loads(site_profiles, "green_aware", 24, flow_idle_timeout=1500.0)
+    apart = int((protocol != fast).any(axis=1).sum())
+    check(
+        apart == 24
+        and protocol[0].tolist() == [2, 2, 2, 2, 2, 2, 0, 0, 0]
+        and fast[0].tolist() == [2, 2, 2, 1, 1, 1, 1, 1, 1]
+        and protocol.sum(axis=1).tolist() == fast.sum(axis=1).tolist() == [12] * 24,
+        "criterion 8: with flows closer than flow_idle_timeout the modes place "
+        "differently in %d of 24 h, with the same 12 jobs each hour" % apart,
+    )
+
+
+# A year of the 24 h demo's workload in a fresh interpreter; it prints its
+# deliveries and its peak RSS in KiB.  Linux's ru_maxrss keeps the peak of
+# the process that started it across exec, so there the child reads its own
+# high-water mark, VmHWM.
+YEAR_CHILD = """
+import resource, sys
+from grasp.datafiles import data_path
+from grasp.model import read_json
+from grasp.netsim import run_scenario
+scen = read_json(data_path("scenario_geni_24h.json"))
+scen["config"]["report_period"] = 3600.0
+scen["horizon"] = 8760 * 3600.0
+rep = run_scenario(scen, base_dir=data_path(), seed=0)
+try:
+    with open("/proc/self/status") as fh:
+        peak_kib = int(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+except OSError:
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // (1024 if sys.platform == "darwin" else 1)
+print(len(rep.deliveries), peak_kib)
+"""
+
+
+@pytest.mark.slow
+def test_protocol_year_without_a_sink_stays_small():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(grasp.__file__)))
+    done = subprocess.run([sys.executable, "-c", YEAR_CHILD], capture_output=True, text=True, env=env, timeout=600)
+    assert done.returncode == 0, done.stderr
+    deliveries, peak_kib = (int(v) for v in done.stdout.split())
+    peak_mb = peak_kib / 1024
+    check(
+        deliveries == 8760 * 12 and peak_mb < 90.0,
+        "memory: a protocol-mode year without a trace sink peaks at %.1f MB (%d deliveries)" % (peak_mb, deliveries),
     )
 
 
@@ -255,14 +316,15 @@ def test_criterion_9_seeded_runs_are_byte_identical(tmp_path):
 
 def test_criterion_10_1h_demo_is_green_aware():
     # the demo runs at midday, so reports steer placement away from round robin
-    reports = {}
+    reports, traces = {}, {}
     for sched in ("green_aware", "round_robin"):
         scen = read_json(data_path("scenario_geni_1h.json"))
         scen["config"] = read_json(data_path(scen["config"]))
         scen["config"]["scheduler"] = sched
-        reports[sched] = run_scenario(scen, base_dir=data_path(), seed=0)
+        traces[sched] = []
+        reports[sched] = run_scenario(scen, base_dir=data_path(), seed=0, emit=traces[sched].append)
     green, rr = (reports[s].per_dc_jobs.tolist() for s in ("green_aware", "round_robin"))
-    decisions = [line for line in reports["green_aware"].trace if "ev=decision" in line]
+    decisions = [line for line in traces["green_aware"] if "ev=decision" in line]
     scores = [float(line.rsplit("score=", 1)[1]) for line in decisions]
     check(
         green != rr and len(scores) == 10 and max(scores) > 0,

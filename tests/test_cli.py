@@ -7,8 +7,11 @@ import sys
 import pytest
 
 import grasp
+from grasp import cli
 from grasp.cli import main
 from grasp.datafiles import data_path
+from grasp.errors import ScriptError
+from grasp.netsim import run_scenario
 
 
 def run_cli(*argv):
@@ -111,6 +114,64 @@ def test_scenario_trace_of_1h_demo_is_pinned(tmp_path):
                        "--seed", seed, "--trace-out", str(trace)) == 0
         digest = hashlib.sha256(trace.read_bytes()).hexdigest()
         assert digest == "e302ec5162e4de7ec209cf1a9e0ba9193b8177a6efb2dc474e130819aca72225"
+
+
+@pytest.mark.parametrize("demo", ["scenario_geni_1h.json", "scenario_geni_24h.json"])
+def test_trace_out_holds_the_lines_a_list_sink_collects(tmp_path, demo):
+    trace = tmp_path / "trace.txt"
+    assert run_cli("scenario", "--scenario", data_path(demo), "--trace-out", str(trace)) == 0
+    lines = []
+    run_scenario(data_path(demo), seed=0, emit=lines.append)
+    assert len(lines) > 100
+    assert trace.read_bytes() == "".join(line + "\n" for line in lines).encode()
+
+
+def test_a_failed_scenario_leaves_no_trace_file(tmp_path, capsys):
+    # an agent's second report would fall at the instant of its first; by
+    # then the run has streamed its connect, discovery and register lines
+    scenario = {
+        "topology": {
+            "switches": ["s"],
+            "links": [],
+            "datacenters": [{"name": "dc", "switch": "s", "port": 1}],
+            "clients": [],
+        },
+        "config": {"report_period": 1e-300},
+        "agents": [{"dc": "dc", "register_at": 0.5}],
+    }
+    lines = []
+    with pytest.raises(ScriptError, match="report_period"):
+        run_scenario(scenario, emit=lines.append)
+    assert any("ev=register " in line for line in lines)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli("scenario", "--scenario", str(path), "--trace-out", str(out / "trace.txt")) == 1
+    assert capsys.readouterr().err.startswith("error: report_period")
+    assert os.listdir(out) == []
+
+
+def test_trace_out_into_a_missing_directory_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli, "run_scenario", lambda *args, **kwargs: runs.append(args))
+    code = run_cli("scenario", "--scenario", data_path("scenario_geni_1h.json"),
+                   "--trace-out", str(tmp_path / "ghost" / "trace.txt"))
+    assert code == 2
+    assert runs == []
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err.startswith("error: ")
+    assert os.listdir(tmp_path) == []
+
+
+def test_validate_names_an_unknown_topology_key(tmp_path, capsys):
+    with open(data_path("geni.topo.json")) as fh:
+        topo = json.load(fh)
+    topo["linkz"] = topo.pop("links")
+    path = tmp_path / "topo.json"
+    path.write_text(json.dumps(topo))
+    assert run_cli("validate", "--topology", str(path)) == 1
+    assert capsys.readouterr().err == "error: topology: unknown key 'linkz'\n"
 
 
 def test_gen_energy(tmp_path):

@@ -56,8 +56,8 @@ def connect_all(controller, topo, now=0.0):
         controller.on_packet_in(PacketIn(peer[0], peer[1], out.packet), now)
 
 
-def make(topo, **cfg):
-    controller = Controller(ControllerConfig(**cfg), seed=0)
+def make(topo, emit=None, **cfg):
+    controller = Controller(ControllerConfig(**cfg), seed=0, emit=emit)
     connect_all(controller, topo)
     return controller
 
@@ -163,16 +163,17 @@ def test_discovery_builds_adjacency():
 
 def test_discovery_rejects_forgeries():
     topo = line_topology()
-    controller = make(topo)
+    lines = []
+    controller = make(topo, emit=lines.append)
     a, b = NodeId(SWITCH, 0), NodeId(SWITCH, 1)
     before = dict(controller.adjacency)
     forged = Packet("discover", topo.addresses[b].mac, BROADCAST_MAC, 0, 0, {"token": "babe"})
     assert controller.on_packet_in(PacketIn(a, 1, forged)).dropped == "bad_token"
-    assert controller.trace[-1] == "t=0.000 ev=drop reason=bad_token sw=s0"
+    assert lines[-1] == "t=0.000 ev=drop reason=bad_token sw=s0"
     own = Packet("discover", topo.addresses[a].mac, BROADCAST_MAC, 0, 0,
                  {"token": controller.discovery_token})
     assert controller.on_packet_in(PacketIn(a, 1, own)).dropped == "bad_discover_origin"
-    assert controller.trace[-1] == "t=0.000 ev=drop reason=bad_discover_origin sw=s0"
+    assert lines[-1] == "t=0.000 ev=drop reason=bad_discover_origin sw=s0"
     unknown = Packet("discover", 0xDEADBEEF, BROADCAST_MAC, 0, 0,
                      {"token": controller.discovery_token})
     assert controller.on_packet_in(PacketIn(a, 1, unknown)).dropped == "bad_discover_origin"
@@ -267,13 +268,14 @@ def report_packet(topo, node, passcode, energy):
 
 def test_report_updates_energy():
     topo = line_topology()
-    controller = make(topo)
+    lines = []
+    controller = make(topo, emit=lines.append)
     passcode = register(controller, topo).packets[0].packet.payload["passcode"]
     att = topo.datacenters[0]
     pkt = report_packet(topo, att.node, passcode, 42.5)
     assert controller.on_packet_in(PacketIn(att.switch, att.port, pkt)).dropped is None
     assert controller.sched.energy_wh == [42.5]
-    assert controller.trace[-1] == "t=0.000 ev=report dc=d0 green_energy_wh=42.500000"
+    assert lines[-1] == "t=0.000 ev=report dc=d0 green_energy_wh=42.500000"
     assert controller.auth_failures == 0
 
 
@@ -292,7 +294,8 @@ def test_report_auth_failures():
 
 def test_report_value_validation():
     topo = line_topology()
-    controller = make(topo)
+    lines = []
+    controller = make(topo, emit=lines.append)
     passcode = register(controller, topo).packets[0].packet.payload["passcode"]
     att = topo.datacenters[0]
     good = report_packet(topo, att.node, passcode, 42.5)
@@ -309,7 +312,7 @@ def test_report_value_validation():
     for payload in bad_payloads:
         bad = host_packet(topo, att.node, "report", payload)
         assert controller.on_packet_in(PacketIn(att.switch, att.port, bad)).dropped == "bad_report", payload
-        assert controller.trace[-1] == "t=0.000 ev=drop reason=bad_report dc=d0"
+        assert lines[-1] == "t=0.000 ev=drop reason=bad_report dc=d0"
     # a NaN accepted here would win every later argmax and draw every job
     assert controller.sched.energy_wh == [42.5]
     assert controller.auth_failures == 0  # malformed values are not auth failures
@@ -380,12 +383,13 @@ def test_request_without_datacenters_is_dropped():
 
 def test_request_installs_path_and_rewrites():
     topo = line_topology()
-    controller = make(topo)
+    lines = []
+    controller = make(topo, emit=lines.append)
     register(controller, topo)
     controller.sched.energy_wh[0] = 5.0
     cl, pkt = client_request(topo)
     resp = controller.on_packet_in(PacketIn(cl.switch, cl.port, pkt))
-    assert controller.trace[-1] == "t=0.000 ev=decision flow=f1 dc=d0 sw=s2 score=5.000000"
+    assert lines[-1] == "t=0.000 ev=decision flow=f1 dc=d0 sw=s2 score=5.000000"
     assert controller.sched.assigned == [1]
 
     # a -> b -> c, forward and reverse rules on each hop
@@ -420,18 +424,20 @@ def test_request_installs_path_and_rewrites():
 
 def test_request_without_flow_id_logs_the_client_ip():
     topo = line_topology()
-    controller = make(topo)
+    lines = []
+    controller = make(topo, emit=lines.append)
     register(controller, topo)
     cl = topo.clients[0]
     addr = topo.addresses[cl.node]
     pkt = Packet("request", addr.mac, 0, addr.ip, SERVICE_IP)
     controller.on_packet_in(PacketIn(cl.switch, cl.port, pkt))
-    assert controller.trace[-1] == "t=0.000 ev=decision flow=10.2.0.1 dc=d0 sw=s2 score=0.000000"
+    assert lines[-1] == "t=0.000 ev=decision flow=10.2.0.1 dc=d0 sw=s2 score=0.000000"
 
 
 def test_huge_report_places_with_an_infinite_score_and_no_warning():
     topo = line_topology()
-    controller = make(topo, job_energy_wh=0.5)
+    lines = []
+    controller = make(topo, emit=lines.append, job_energy_wh=0.5)
     passcode = register(controller, topo).packets[0].packet.payload["passcode"]
     att = topo.datacenters[0]
     report = report_packet(topo, att.node, passcode, 1e308)
@@ -440,7 +446,7 @@ def test_huge_report_places_with_an_infinite_score_and_no_warning():
         warnings.simplefilter("error")
         controller.on_packet_in(PacketIn(att.switch, att.port, report))
         controller.on_packet_in(PacketIn(cl.switch, cl.port, pkt))
-    assert controller.trace[-1] == "t=0.000 ev=decision flow=f1 dc=d0 sw=s2 score=inf"
+    assert lines[-1] == "t=0.000 ev=decision flow=f1 dc=d0 sw=s2 score=inf"
 
 
 def test_request_same_switch_short_path():
@@ -530,7 +536,8 @@ def test_round_robin_config_drives_decisions():
             "clients": [{"name": "cl", "switch": "only", "port": 3}],
         }
     )
-    controller = make(topo, scheduler="round_robin")
+    lines = []
+    controller = make(topo, emit=lines.append, scheduler="round_robin")
     register(controller, topo, 0)
     register(controller, topo, 1)
     controller.sched.energy_wh[1] = 99.0  # round robin must ignore this
@@ -538,7 +545,7 @@ def test_round_robin_config_drives_decisions():
     for i in range(4):
         _, pkt = client_request(topo, flow_id="f%d" % i)
         controller.on_packet_in(PacketIn(cl.switch, cl.port, pkt))
-    decisions = [line for line in controller.trace if "ev=decision" in line]
+    decisions = [line for line in lines if "ev=decision" in line]
     assert decisions == [
         "t=0.000 ev=decision flow=f%d dc=d%d sw=s0 score=0.000000" % (i, i % 2) for i in range(4)
     ]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -140,6 +141,26 @@ def broken(mutate):
 def test_topology_rejects(mutate):
     with pytest.raises(ValidationError):
         topology_from_dict(broken(mutate))
+
+
+# a key the format does not read is refused by name, wherever it sits
+HOSTILE_TOPOLOGIES = {
+    "misspelled_links": (lambda d: d.__setitem__("linkz", []), "topology", "linkz"),
+    "top_level_extra": (lambda d: d.__setitem__("bogus", 1), "topology", "bogus"),
+    "link_extra": (lambda d: d["links"][0].__setitem__("a_prot", 1), "links[0]", "a_prot"),
+    "link_weight": (lambda d: d["links"][0].__setitem__("weight", 2), "links[0]", "weight"),
+    "datacenter_extra": (lambda d: d["datacenters"][1].__setitem__("prot", 3), "datacenters[1]", "prot"),
+    "datacenter_ip_case": (lambda d: d["datacenters"][0].__setitem__("IP", "10.9.9.9"), "datacenters[0]", "IP"),
+    "client_extra": (lambda d: d["clients"][0].__setitem__("x", 1), "clients[0]", "x"),
+    "client_empty_key": (lambda d: d["clients"][0].__setitem__("", None), "clients[0]", ""),
+}
+
+
+@pytest.mark.parametrize("mutate, where, key", HOSTILE_TOPOLOGIES.values(), ids=HOSTILE_TOPOLOGIES.keys())
+def test_topology_refuses_unknown_keys(mutate, where, key):
+    with pytest.raises(ValidationError, match="unknown key %s" % re.escape(repr(key))) as err:
+        topology_from_dict(broken(mutate))
+    assert err.value.field == where
 
 
 def test_topology_rejects_duplicate_pinned_ip():

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import gc
 import heapq
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from grasp import controller as controller_module
 from grasp.cli import main as cli_main
 from grasp.controller import FlowMod, Packet, match_text
 from grasp.datafiles import data_path
@@ -89,7 +91,7 @@ def test_install_replaces_same_match():
 
 def test_expire_traces_itself():
     trace = []
-    table = FlowTable(SW, trace)
+    table = FlowTable(SW, trace.append)
     table.install(mod(src=1), now=0.0)
     table.install(mod(priority=0, timeout=0.0), now=0.0)
     table.expire(1.999)
@@ -167,7 +169,8 @@ def table_ops(draw):
 @example(ops=[("install", (10, 1, None), 0.3, 1, 0.0), ("install", (10, None, 1), 0.3, 1, 0.0),
               ("install", (10, 1, None), 0.3, 2, 0.0), ("expire", 4.0)])
 def test_indexed_flow_table_matches_list_scan(ops):
-    table, oracle = FlowTable(SW, []), ListFlowTable([])
+    lines = []
+    table, oracle = FlowTable(SW, lines.append), ListFlowTable([])
     for op in ops:
         if op[0] == "install":
             _, (priority, src, dst), timeout, port, now = op
@@ -179,7 +182,7 @@ def test_indexed_flow_table_matches_list_scan(ops):
             assert rule_fields(table.lookup(pkt(src, dst), now)) == oracle.lookup(pkt(src, dst), now)
         else:
             assert [rule_fields(r) for r in table.expire(op[1])] == oracle.expire(op[1])
-        assert table.trace == oracle.trace
+        assert lines == oracle.trace
         assert table.dump() == oracle.dump()
 
 
@@ -187,9 +190,20 @@ def scenario_path():
     return data_path("scenario_geni_1h.json")
 
 
+def traced(runner, scen, seed=0):
+    """A run's report and the trace lines a list sink collects from it."""
+    lines = []
+    return runner(scen, seed=seed, emit=lines.append), lines
+
+
 @pytest.fixture(scope="module")
-def geni_hour():
-    return run_scenario(scenario_path(), seed=0)
+def geni_hour_traced():
+    return traced(run_scenario, scenario_path())
+
+
+@pytest.fixture(scope="module")
+def geni_hour(geni_hour_traced):
+    return geni_hour_traced[0]
 
 
 def test_scenario_counts(geni_hour):
@@ -209,11 +223,36 @@ def test_scenario_adjacency_complete(geni_hour):
 
 
 def test_scenario_determinism():
-    a = run_scenario(scenario_path(), seed=0)
-    b = run_scenario(scenario_path(), seed=0)
-    assert a.trace == b.trace
+    a, a_trace = traced(run_scenario, scenario_path())
+    b, b_trace = traced(run_scenario, scenario_path())
+    assert a_trace == b_trace
     assert a.snapshots == b.snapshots
     assert a.per_dc_jobs.tolist() == b.per_dc_jobs.tolist()
+
+
+def test_no_sink_formats_no_trace_line(monkeypatch):
+    # only the snapshots the demo asks for print text: a rule each, by
+    # its match and its switch
+    calls = collections.Counter()
+
+    def refuse(ip):
+        raise AssertionError("format_ip called with no sink")
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(controller_module, "format_ip", refuse)
+    monkeypatch.setattr(netsim, "match_text", counted("match_text", netsim.match_text))
+    monkeypatch.setattr(NodeId, "__str__", counted("str(node)", NodeId.__str__))
+    rep = run_scenario(scenario_path(), seed=0)
+    assert rep.per_dc_jobs.tolist() == [0, 0, 0, 10, 0, 0, 0, 0, 0]
+    rules = sum(len(snap.split("\n")) for snap in rep.snapshots.values())
+    assert rules == 6
+    assert calls == {"match_text": rules, "str(node)": rules}
 
 
 def test_scenario_seed_changes_credentials_not_outcomes(geni_hour):
@@ -223,15 +262,15 @@ def test_scenario_seed_changes_credentials_not_outcomes(geni_hour):
     assert other.controller.discovery_token != geni_hour.controller.discovery_token
 
 
-def test_scenario_snapshots_and_expiry(geni_hour):
-    rep = geni_hour
+def test_scenario_snapshots_and_expiry(geni_hour_traced):
+    rep, trace = geni_hour_traced
     assert set(rep.snapshots) == {43700.0, 46700.0}
     # long after the last packet, only the permanent table-miss rules remain
     for snap in rep.snapshots.values():
         lines = snap.split("\n")
         assert len(lines) == 3
         assert all("prio=0" in line and "idle=0" in line for line in lines)
-    assert any("ev=expire" in line for line in rep.trace)
+    assert any("ev=expire" in line for line in trace)
 
 
 def test_scenario_responses_reach_clients(geni_hour):
@@ -281,12 +320,12 @@ def test_finished_simulation_is_freed_without_the_collector():
     gc.disable()
     try:
         with mock.patch.object(netsim, "Simulation", Watched):
-            rep = run_scenario(tiny_scenario(horizon=3700.0), seed=0)
+            _, trace = traced(run_scenario, tiny_scenario(horizon=3700.0))
         assert sims[0]() is None
     finally:
         gc.enable()
-    assert any("ev=expire" in line for line in rep.trace)
-    assert "t=3600.000 ev=hour_reset hour=1" in rep.trace
+    assert any("ev=expire" in line for line in trace)
+    assert "t=3600.000 ev=hour_reset hour=1" in trace
 
 
 def test_reopened_flow_hits_controller_again():
@@ -296,10 +335,10 @@ def test_reopened_flow_hits_controller_again():
         {"id": "t2", "open_at": 3.0},  # rule still warm, no packet-in
         {"id": "t3", "open_at": 8.0},  # idle 2 s rule long gone
     ]}]
-    rep = run_scenario(scen, seed=0)
+    rep, trace = traced(run_scenario, scen)
     assert rep.packet_in_count == 1 + 2
     assert rep.per_dc_jobs.tolist() == [3]
-    expired = [line for line in rep.trace if "ev=expire" in line and "10.2.0.1" in line]
+    expired = [line for line in trace if "ev=expire" in line and "10.2.0.1" in line]
     assert expired  # the client rules aged out in between
 
 
@@ -307,10 +346,10 @@ def test_rate_workload_and_hour_reset():
     scen = tiny_scenario(horizon=7250.0)
     scen["config"] = {"report_period": 60.0}
     scen["clients"] = [{"client": "cl", "rate_per_hour": 3}]
-    rep = run_scenario(scen, seed=0)
+    rep, trace = traced(run_scenario, scen)
     assert rep.per_dc_jobs.tolist() == [6]
-    assert "t=3600.000 ev=hour_reset hour=1" in rep.trace
-    assert "t=7200.000 ev=hour_reset hour=2" in rep.trace
+    assert "t=3600.000 ev=hour_reset hour=1" in trace
+    assert "t=7200.000 ev=hour_reset hour=2" in trace
 
 
 def test_staggered_switch_connect_still_discovers():
@@ -477,11 +516,11 @@ def test_scenario_rejects_bad_peak_wh(peak):
         load_scenario(scen)
 
 
-def test_scenario_packet_in_formula(geni_hour):
-    rep = geni_hour
-    registrations = sum(1 for line in rep.trace if "ev=register " in line)
-    receipts = sum(1 for line in rep.trace if "kind=discover" in line)
-    reports = sum(1 for line in rep.trace if "kind=report" in line)
+def test_scenario_packet_in_formula(geni_hour_traced):
+    rep, trace = geni_hour_traced
+    registrations = sum(1 for line in trace if "ev=register " in line)
+    receipts = sum(1 for line in trace if "kind=discover" in line)
+    reports = sum(1 for line in trace if "kind=report" in line)
     flows = len({f for f, _, _ in rep.deliveries})
     assert reports == 9 * 12  # hourly from every DC, 1 h to 12 h
     assert rep.packet_in_count == registrations + receipts + reports + flows
@@ -570,13 +609,15 @@ class EverySecond(Simulation):
             tick += 1.0
 
 
-def run_every_second(scen, seed=0):
+def run_every_second(scen, seed=0, emit=None):
     with mock.patch.object(netsim, "Simulation", EverySecond):
-        return run_scenario(scen, seed=seed)
+        return run_scenario(scen, seed=seed, emit=emit)
 
 
 def same_run(a, b):
-    return (a.trace, a.snapshots, a.deliveries, a.client_rx) == (b.trace, b.snapshots, b.deliveries, b.client_rx)
+    """Whether two `traced` runs have the same trace and outcome."""
+    (ra, la), (rb, lb) = a, b
+    return (la, ra.snapshots, ra.deliveries, ra.client_rx) == (lb, rb.snapshots, rb.deliveries, rb.client_rx)
 
 
 def first_due_second(last_hit, timeout, horizon):
@@ -630,23 +671,24 @@ def test_idle_deadline_terminates_at_any_magnitude():
 def test_huge_idle_timeout_finishes_at_once():
     scen = tiny_scenario(config={"flow_idle_timeout": 1e17}, horizon=3700.0)
     start = time.perf_counter()
-    rep = run_scenario(scen, seed=0)
+    lazy = traced(run_scenario, scen)
     took = time.perf_counter() - start
     assert took < 0.5
-    assert same_run(rep, run_every_second(scen))
-    assert not any("ev=expire" in line for line in rep.trace)
-    assert "t=3600.000 ev=hour_reset hour=1" in rep.trace
+    assert same_run(lazy, traced(run_every_second, scen))
+    trace = lazy[1]
+    assert not any("ev=expire" in line for line in trace)
+    assert "t=3600.000 ev=hour_reset hour=1" in trace
 
 
 def test_rules_installed_before_time_zero_expire_every_second_alike():
     traces = []
     for cls in (Simulation, EverySecond):
         topology, config, *_ = load_scenario(tiny_scenario())
-        sim = cls(topology, config)
+        traces.append([])
+        sim = cls(topology, config, emit=traces[-1].append)
         for src, (last_hit, timeout) in enumerate([(-5.0, 2.0), (-0.5, 2.0), (-1.0, 2.0), (-2.5, 0.3), (-1e30, 1.0)]):
             sim.tables[SW.index].install(mod(src=src + 1, timeout=timeout), now=last_hit)
         sim.run(6.0)
-        traces.append(sim.trace)
     assert traces[0] == traces[1]
     assert [line.split(" match=")[1] for line in traces[0] if line.startswith("t=1.000 ev=expire")] == [
         "0.0.0.1->*", "0.0.0.3->*", "0.0.0.4->*", "0.0.0.5->*",
@@ -703,7 +745,7 @@ def small_scenarios(draw):
 @settings(max_examples=120, deadline=None)
 @given(scen=small_scenarios())
 def test_lazy_ticks_match_every_second_sweep(scen):
-    assert same_run(run_scenario(scen, seed=0), run_every_second(scen))
+    assert same_run(traced(run_scenario, scen), traced(run_every_second, scen))
 
 
 def test_rate_flows_stop_at_the_horizon():
