@@ -10,14 +10,17 @@ class ParseError(GraspError):
 
 
 class ValidationError(GraspError):
-    """Structurally parseable input that violates a semantic rule.
+    """Parseable input of the wrong shape or value.
 
-    `field` names the offending key or flag so callers can point at it.
+    `field` names the offending flag, or the JSON path of the offending
+    value (`links[0]`, `clients[0].flows[2].open_at`), and `problem` says
+    what is wrong with it.
     """
 
-    def __init__(self, field, message):
+    def __init__(self, field, problem):
         self.field = field
-        super().__init__(f"{field}: {message}")
+        self.problem = problem
+        super().__init__(f"{field}: {problem}")
 
 
 class EmptyFleet(GraspError):
@@ -34,7 +37,3 @@ class UnknownSwitch(GraspError):
 
 class NoPath(GraspError):
     """No discovered path between two switches."""
-
-
-class ScriptError(GraspError):
-    """A scenario script references unknown nodes or has unusable times."""

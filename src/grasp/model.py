@@ -9,7 +9,7 @@ one explicitly.
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
@@ -161,9 +161,14 @@ class Topology:
         return pairs
 
 
-def _require(condition, field_name, message):
+# JSON shape checks shared by the topology, config and scenario readers.
+# Each raises ValidationError(where, problem), `where` being the JSON path
+# of the offending value, and returns the value it checked.
+
+
+def _require(condition, where, problem):
     if not condition:
-        raise ValidationError(field_name, message)
+        raise ValidationError(where, problem)
 
 
 def finite_number(value):
@@ -178,87 +183,108 @@ def finite_number(value):
         return False
 
 
-def _number(value, field_name):
-    _require(finite_number(value), field_name, "must be a finite number")
-    return float(value)
+def _object(value, where):
+    if not isinstance(value, dict):
+        raise ValidationError(where, f"must be an object, not {type(value).__name__}")
+    return value
 
 
-def _known_keys(raw, known, where):
-    for key in raw:
-        _require(key in known, where, f"unknown key {key!r}")
+def _list(value, where):
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(where, f"must be a list, not {type(value).__name__}")
+    return value
+
+
+def _keys(obj, known, where, required=()):
+    """An object with no key outside `known` and every key in `required`."""
+    for key in _object(obj, where):
+        if key not in known:
+            raise ValidationError(where, f"unknown key {key!r}")
+    for key in required:
+        if key not in obj:
+            raise ValidationError(where, f"missing key {key!r}")
+    return obj
+
+
+def _number(value, where, minimum=-math.inf):
+    """A finite number, not a bool, >= minimum, as a float."""
+    if finite_number(value) and value >= minimum:
+        return float(value)
+    bound = "" if minimum == -math.inf else f" >= {minimum:g}"
+    raise ValidationError(where, f"must be a finite number{bound}, got {value!r}")
+
+
+def _count(value, where, minimum=0):
+    """An int, not a bool, >= minimum and below 2**53, so it stays exact as float seconds."""
+    if isinstance(value, int) and not isinstance(value, bool) and minimum <= value < 2**53:
+        return value
+    raise ValidationError(where, f"must be an integer >= {minimum}, got {value!r}")
+
+
+def _name(value, where):
+    """A name or id as the trace and stdout print it: a non-empty string
+    with no whitespace."""
+    if isinstance(value, str) and value.split() == [value]:
+        return value
+    raise ValidationError(where, f"must be a non-empty string with no whitespace, got {value!r}")
+
+
+TOPOLOGY_KEYS = ("switches", "links", "datacenters", "clients")
 
 
 def topology_from_dict(data):
-    _require(isinstance(data, dict), "topology", "top level must be a JSON object")
-    _known_keys(data, ("switches", "links", "datacenters", "clients"), "topology")
-    for key in ("switches", "links", "datacenters", "clients"):
-        _require(key in data, key, "missing key")
-        _require(isinstance(data[key], list), key, "must be a list")
-
-    names = data["switches"]
-    _require(len(names) >= 1, "switches", "need at least one switch")
-    _require(all(isinstance(n, str) and n for n in names), "switches", "names must be non-empty strings")
-    _require(len(set(names)) == len(names), "switches", "duplicate switch name")
-    index_of = {n: i for i, n in enumerate(names)}
+    _keys(data, TOPOLOGY_KEYS, "topology", required=TOPOLOGY_KEYS)
+    names = [_name(n, f"switches[{i}]") for i, n in enumerate(_list(data["switches"], "switches"))]
+    _require(names, "switches", "need at least one switch")
+    index_of = {}
+    for i, name in enumerate(names):
+        _require(name not in index_of, f"switches[{i}]", f"duplicate switch name {name!r}")
+        index_of[name] = i
 
     used_ports = set()
 
-    def switch_of(name, where):
-        _require(isinstance(name, str) and name in index_of, where, f"unknown switch {name!r}")
-        return NodeId(SWITCH, index_of[name])
-
-    def claim_port(switch, port, where):
-        _require(
-            isinstance(port, int) and not isinstance(port, bool) and port > 0,
-            where,
-            f"port must be a positive integer, got {port!r}",
-        )
-        _require((switch, port) not in used_ports, where, f"port {port} on {names[switch.index]!r} used twice")
+    def plug(raw, switch_key, port_key, where):
+        """The switch `raw[switch_key]` names, with port `raw[port_key]` claimed on it."""
+        name = raw[switch_key]
+        _require(isinstance(name, str) and name in index_of, f"{where}.{switch_key}", f"unknown switch {name!r}")
+        switch = NodeId(SWITCH, index_of[name])
+        port = _count(raw[port_key], f"{where}.{port_key}", minimum=1)
+        _require((switch, port) not in used_ports, f"{where}.{port_key}", f"port {port} on {name!r} used twice")
         used_ports.add((switch, port))
+        return switch, port
 
     links = []
-    for i, raw in enumerate(data["links"]):
+    for i, raw in enumerate(_list(data["links"], "links")):
         where = f"links[{i}]"
-        _require(isinstance(raw, dict), where, "must be an object")
-        _known_keys(raw, ("a", "a_port", "b", "b_port"), where)
-        for k in ("a", "a_port", "b", "b_port"):
-            _require(k in raw, where, f"missing {k!r}")
-        a = switch_of(raw["a"], where)
-        b = switch_of(raw["b"], where)
-        _require(a != b, where, "link endpoints must differ")
-        claim_port(a, raw["a_port"], where)
-        claim_port(b, raw["b_port"], where)
-        links.append(Link(a, raw["a_port"], b, raw["b_port"]))
+        _keys(raw, ("a", "a_port", "b", "b_port"), where, required=("a", "a_port", "b", "b_port"))
+        _require(raw["a"] != raw["b"], where, "link endpoints must differ")
+        links.append(Link(*plug(raw, "a", "a_port", where), *plug(raw, "b", "b_port", where)))
 
     pinned = {}
 
     def read_attachments(key, kind):
         out = []
         seen = set()
-        for i, raw in enumerate(data[key]):
+        for i, raw in enumerate(_list(data[key], key)):
             where = f"{key}[{i}]"
-            _require(isinstance(raw, dict), where, "must be an object")
-            _known_keys(raw, ("name", "switch", "port", "ip", "mac"), where)
-            for k in ("name", "switch", "port"):
-                _require(k in raw, where, f"missing {k!r}")
-            _require(isinstance(raw["name"], str) and raw["name"], where, "name must be a non-empty string")
-            _require(raw["name"] not in seen, where, f"duplicate name {raw['name']!r}")
-            seen.add(raw["name"])
-            switch = switch_of(raw["switch"], where)
-            claim_port(switch, raw["port"], where)
+            _keys(raw, ("name", "switch", "port", "ip", "mac"), where, required=("name", "switch", "port"))
+            name = _name(raw["name"], f"{where}.name")
+            _require(name not in seen, f"{where}.name", f"duplicate name {name!r}")
+            seen.add(name)
+            switch, port = plug(raw, "switch", "port", where)
             node = NodeId(kind, i)
             if "ip" in raw or "mac" in raw:
                 auto = auto_address(node)
                 ip = parse_ip(raw["ip"]) if "ip" in raw else auto.ip
                 mac = parse_mac(raw["mac"]) if "mac" in raw else auto.mac
                 pinned[node] = Address(ip=ip, mac=mac)
-            out.append(Attachment(node=node, name=raw["name"], switch=switch, port=raw["port"]))
+            out.append(Attachment(node=node, name=name, switch=switch, port=port))
         return out
 
     datacenters = read_attachments("datacenters", DATACENTER)
     clients = read_attachments("clients", CLIENT)
 
-    topo = Topology(switch_names=list(names), links=links, datacenters=datacenters, clients=clients)
+    topo = Topology(switch_names=names, links=links, datacenters=datacenters, clients=clients)
     topo.addresses.update(pinned)
 
     ips = [a.ip for a in topo.addresses.values()]
@@ -330,16 +356,15 @@ def validate_config(cfg):
 _RETIRED_KEYS = {"parameters": ["green_energy_wh"], "weights": [1.0]}
 
 
+CONFIG_KEYS = ("report_period", "flow_idle_timeout", "scheduler", "job_energy_wh", "nsrdb", "panel", *_RETIRED_KEYS)
+PANEL_KEYS = tuple(f.name for f in fields(PanelConfig))
+
+
 def config_from_dict(data):
-    _require(isinstance(data, dict), "config", "top level must be a JSON object")
-    known = {"report_period", "flow_idle_timeout", "scheduler", "job_energy_wh", "nsrdb", "panel"}
-    for key, value in data.items():
-        if key in _RETIRED_KEYS:
-            fixed = _RETIRED_KEYS[key]
-            # repr, so [1] or [true] for [1.0] is refused too
-            _require(repr(value) == repr(fixed), key, f"retired key, accepted only as {fixed!r}")
-        else:
-            _require(key in known, key, "unknown config key")
+    _keys(data, CONFIG_KEYS, "config")
+    for key, fixed in _RETIRED_KEYS.items():
+        # repr, so [1] or [true] for [1.0] is refused too
+        _require(key not in data or repr(data[key]) == repr(fixed), key, f"retired key, accepted only as {fixed!r}")
 
     cfg = ControllerConfig()
     for key in ("report_period", "flow_idle_timeout", "job_energy_wh"):
@@ -347,19 +372,10 @@ def config_from_dict(data):
             setattr(cfg, key, _number(data[key], key))
     if "scheduler" in data:
         cfg.scheduler = data["scheduler"]
-    nsrdb = data.get("nsrdb", {})
-    _require(isinstance(nsrdb, dict), "nsrdb", "must be an object")
-    for key, value in nsrdb.items():
-        _require(key in ("temp_column", "ghi_column"), f"nsrdb.{key}", "unknown nsrdb key")
+    for key, value in _keys(data.get("nsrdb", {}), ("temp_column", "ghi_column"), "nsrdb").items():
         _require(isinstance(value, str) and value, f"nsrdb.{key}", "must be a non-empty string")
         setattr(cfg, f"nsrdb_{key}", value)
-    panel = data.get("panel", {})
-    _require(isinstance(panel, dict), "panel", "must be an object")
-    panel_fields = {
-        "area_m2", "efficiency", "temp_coeff_per_c", "reference_temp_c", "irradiance_heating",
-    }
-    for key, value in panel.items():
-        _require(key in panel_fields, f"panel.{key}", "unknown panel key")
+    for key, value in _keys(data.get("panel", {}), PANEL_KEYS, "panel").items():
         setattr(cfg.panel, key, _number(value, f"panel.{key}"))
     return validate_config(cfg)
 

@@ -27,7 +27,7 @@ Time 0 is midnight of hour 0, and the horizon is at most one profile year.
 An agent reports its energy first one `report_period` after its
 registration is acknowledged, so until then the controller scores every
 data center 0; a period too small to move the clock past a report's time
-is a ScriptError.
+is a ValidationError of `report_period`.
 """
 
 import heapq
@@ -41,13 +41,18 @@ import numpy as np
 
 from .controller import GREEN_ENERGY_PARAM, SERVICE_IP, Controller, Packet, PacketIn, match_text
 from .energy import HOURS_PER_YEAR, build_profile, load_profile_csv, parse_nsrdb_csv, synth_profile
-from .errors import ScriptError, ValidationError
+from .errors import ValidationError
 from .model import (
     DATACENTER,
     SWITCH,
     NodeId,
+    _count,
+    _keys,
+    _list,
+    _name,
+    _number,
+    _object,
     config_from_dict,
-    finite_number,
     load_config,
     load_topology,
     read_json,
@@ -212,7 +217,6 @@ class SimReport:
     deliveries: list  # (flow_id, dc_id, time) in delivery order
     packet_in_count: int
     auth_failures: int
-    snapshots: dict  # time -> flow table dump text
     client_rx: dict  # client name -> list of received packets
     controller: Controller
 
@@ -239,7 +243,6 @@ class Simulation:
         self._agents = {}  # dc NodeId -> agent runtime state
         self.deliveries = []
         self.client_rx = {a.name: [] for a in topology.clients}
-        self.snapshots = {}
         self.horizon = 0.0
 
     def schedule(self, time, kind, payload=None):
@@ -377,7 +380,7 @@ class Simulation:
     def _schedule_report(self, now, node, period):
         next_report = now + period
         if next_report <= now:  # a period this small would report at `now` forever
-            raise ScriptError(f"report_period {period!r} does not move the clock past t={now!r}")
+            raise ValidationError("report_period", f"{period!r} does not move the clock past t={now!r}")
         if next_report < self.horizon:
             self.schedule(next_report, "agent_report", node)
 
@@ -415,11 +418,11 @@ class Simulation:
             heapq.heappush(self._heap, (boundary, -1, "hour", None))
 
     def _snapshot(self, now, _=None):
-        lines = []
-        for table in self.tables:
-            for line in table.dump():
-                lines.append("sw=%s %s" % (table.switch, line))
-        self.snapshots[now] = "\n".join(lines)
+        """Write every rule, tables in switch order, as `ev=snapshot` lines."""
+        if self.emit is not None:
+            for table in self.tables:
+                for line in table.dump():
+                    self.emit("t=%.3f ev=snapshot sw=%s %s" % (now, table.switch, line))
 
     # -- main loop -----------------------------------------------------------
 
@@ -459,79 +462,40 @@ class Simulation:
             deliveries=self.deliveries,
             packet_in_count=self.controller.packet_in_count,
             auth_failures=self.controller.auth_failures,
-            snapshots=self.snapshots,
             client_rx=self.client_rx,
             controller=self.controller,
         )
 
 
-def _seconds(value, what, minimum=-math.inf):
-    """A scenario time: a finite number of seconds (not a bool), >= minimum."""
-    if finite_number(value) and value >= minimum:
-        return float(value)
-    raise ScriptError(f"bad {what}: {value!r}")
-
-
-def _count(value, what):
-    """A non-negative int, not a bool, below 2**53 so it stays exact as float seconds."""
-    if isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**53:
-        return value
-    raise ScriptError(f"{what} must be a non-negative integer, got {value!r}")
-
-
-def _list(value, what):
-    if not isinstance(value, (list, tuple)):
-        raise ScriptError(f"{what} must be a list, got {value!r}")
-    return value
-
-
-def _object(value, what):
-    if not isinstance(value, dict):
-        raise ScriptError(f"{what} must be an object, got {value!r}")
-    return value
-
-
-def _keys(value, allowed, what):
-    """Refuse any key of a scenario object that the format does not read."""
-    for key in value:
-        if key not in allowed:
-            raise ScriptError(f"unknown key {key!r} in {what}")
-    return value
-
-
-def _path(base_dir, value, what):
+def _path(base_dir, value, where):
     if not isinstance(value, str) or not value or "\0" in value:
-        raise ScriptError(f"{what} must be a file path, got {value!r}")
+        raise ValidationError(where, f"must be a file path, got {value!r}")
     return os.path.join(base_dir, value)
 
 
-def _resolve_profile(spec, base_dir, config):
-    _object(spec, "agent profile")
-    if "weather_csv" in spec:
-        _keys(spec, {"weather_csv"}, "agent profile")
-        path = _path(base_dir, spec["weather_csv"], "weather_csv")
+def _resolve_profile(spec, base_dir, config, where):
+    if "weather_csv" in _object(spec, where):
+        path = _path(base_dir, _keys(spec, ("weather_csv",), where)["weather_csv"], f"{where}.weather_csv")
         weather = parse_nsrdb_csv(path, temp_column=config.nsrdb_temp_column, ghi_column=config.nsrdb_ghi_column)
         return build_profile(weather, panel=config.panel, site=os.path.basename(path))
     if "profile_csv" in spec:
-        _keys(spec, {"profile_csv"}, "agent profile")
-        path = _path(base_dir, spec["profile_csv"], "profile_csv")
+        path = _path(base_dir, _keys(spec, ("profile_csv",), where)["profile_csv"], f"{where}.profile_csv")
         return load_profile_csv(path, site=os.path.basename(path))
-    if "shape" in spec:
-        _keys(spec, {"shape", "peak_wh"}, "agent profile")
-        try:
-            return synth_profile(spec["shape"], spec.get("peak_wh", 0.0))
-        except ValidationError as exc:
-            raise ScriptError(f"agent profile {spec!r}: {exc}") from None
-    raise ScriptError(f"agent profile needs weather_csv, profile_csv or shape: {spec!r}")
+    _keys(spec, ("shape", "peak_wh"), where, required=("shape",))
+    try:
+        return synth_profile(spec["shape"], spec.get("peak_wh", 0.0))
+    except ValidationError as exc:
+        raise ValidationError(f"{where}.{exc.field}", exc.problem) from None
 
 
 def load_scenario(source, base_dir=None):
     """Parse a scenario file (or dict) into topology, config and scripts.
 
-    Lists and objects must be lists and objects, times finite numbers of
-    seconds and counts non-negative integers, every key one the format
-    reads and every flow id unique; anything else raises ScriptError
-    (ParseError/ValidationError inside topology and config).
+    The JSON goes through model's shared shape checks: objects and lists
+    where the format has them, no key it does not read, every time a
+    finite number >= 0 of seconds, counts non-negative integers, and every
+    name or flow id a non-empty string with no whitespace, the flow ids
+    unique.  Anything else raises ValidationError naming its JSON path.
     """
     if isinstance(source, (str, os.PathLike)):
         base_dir = os.path.dirname(os.path.abspath(source))
@@ -539,100 +503,101 @@ def load_scenario(source, base_dir=None):
     else:
         data = source
         base_dir = base_dir or "."
-    _keys(_object(data, "scenario"), SCENARIO_KEYS, "scenario")
+    _keys(data, SCENARIO_KEYS, "scenario", required=("topology",))
 
-    topo_spec = data.get("topology")
+    topo_spec = data["topology"]
     if isinstance(topo_spec, str):
         topology = load_topology(_path(base_dir, topo_spec, "topology"))
-    elif isinstance(topo_spec, dict):
-        topology = topology_from_dict(topo_spec)
     else:
-        raise ScriptError("scenario needs a topology (path or object)")
+        topology = topology_from_dict(topo_spec)
 
     config_spec = data.get("config", {})
     if isinstance(config_spec, str):
         config = load_config(_path(base_dir, config_spec, "config"))
-    elif isinstance(config_spec, dict):
-        config = config_from_dict(config_spec)
     else:
-        raise ScriptError("config must be a path or object")
+        config = config_from_dict(config_spec)
 
-    horizon = _seconds(data.get("horizon", SECONDS_PER_HOUR), "horizon")
+    horizon = _number(data.get("horizon", SECONDS_PER_HOUR), "horizon")
     if not 0 < horizon <= MAX_HORIZON:
-        raise ScriptError(f"horizon must be positive and at most one profile year ({MAX_HORIZON:g} s), got {horizon!r}")
+        raise ValidationError("horizon", f"must be positive and at most one profile year ({MAX_HORIZON:g} s), got {horizon!r}")
 
     dc_names = {a.name for a in topology.datacenters}
     agents = []
-    for raw in _list(data.get("agents", []), "agents"):
-        name = _keys(_object(raw, "agent"), {"dc", "register_at", "respond", "profile"}, "agent").get("dc")
+    for i, raw in enumerate(_list(data.get("agents", []), "agents")):
+        where = f"agents[{i}]"
+        name = _keys(raw, ("dc", "register_at", "respond", "profile"), where, required=("dc",))["dc"]
         if not isinstance(name, str) or name not in dc_names:
-            raise ScriptError(f"agent references unknown data center {name!r}")
+            raise ValidationError(f"{where}.dc", f"unknown data center {name!r}")
         if any(a.dc_name == name for a in agents):
-            raise ScriptError(f"data center {name!r} has two agents")
+            raise ValidationError(f"{where}.dc", f"data center {name!r} has two agents")
         respond = raw.get("respond", False)
         if not isinstance(respond, bool):
-            raise ScriptError(f"respond for {name!r} must be true or false, got {respond!r}")
+            raise ValidationError(f"{where}.respond", f"must be true or false, got {respond!r}")
         agents.append(
             AgentScript(
                 dc_name=name,
-                register_at=_seconds(raw.get("register_at", 0.5), f"register_at for {name!r}", minimum=0.0),
-                profile=_resolve_profile(raw.get("profile", {"shape": "zero"}), base_dir, config),
+                register_at=_number(raw.get("register_at", 0.5), f"{where}.register_at", minimum=0.0),
+                profile=_resolve_profile(raw.get("profile", {"shape": "zero"}), base_dir, config, f"{where}.profile"),
                 respond=respond,
             )
         )
 
     client_names = {a.name for a in topology.clients}
     flows = []
-    for raw in _list(data.get("clients", []), "clients"):
-        name = _object(raw, "client workload").get("client")
+    ids = set()
+
+    def add(flow, where):
+        if flow.flow_id in ids:
+            raise ValidationError(where, f"flow id {flow.flow_id!r} is used twice")
+        ids.add(flow.flow_id)
+        flows.append(flow)
+
+    for i, raw in enumerate(_list(data.get("clients", []), "clients")):
+        where = f"clients[{i}]"
+        name = _object(raw, where).get("client")
         if not isinstance(name, str) or name not in client_names:
-            raise ScriptError(f"workload references unknown client {name!r}")
+            raise ValidationError(f"{where}.client", f"unknown client {name!r}")
         if "flows" in raw:
-            _keys(raw, {"client", "flows"}, f"workload of {name!r}")
-            for f in _list(raw["flows"], f"flows of {name!r}"):
-                _keys(_object(f, f"flow of {name!r}"), {"id", "open_at", "data_at"}, f"flow of {name!r}")
-                open_at = _seconds(f.get("open_at"), f"open_at in flow for {name!r}", 0.0)
-                if "id" not in f:
-                    raise ScriptError(f"explicit flow for {name!r} needs an id")
-                data_at = tuple(
-                    _seconds(t, f"data_at of flow {f['id']!r} (not before open)", minimum=open_at)
-                    for t in _list(f.get("data_at", []), f"data_at of flow {f['id']!r}")
-                )
-                flows.append(ClientFlow(name, str(f["id"]), open_at, data_at))
+            _keys(raw, ("client", "flows"), where)
+            for j, f in enumerate(_list(raw["flows"], f"{where}.flows")):
+                at = f"{where}.flows[{j}]"  # built once per flow; each field's path extends it
+                _keys(f, ("id", "open_at", "data_at"), at, required=("id", "open_at"))
+                id_at, times_at = at + ".id", at + ".data_at"
+                open_at = _number(f["open_at"], at + ".open_at", minimum=0.0)
+                data_at = tuple([_number(t, times_at, open_at) for t in _list(f.get("data_at", ()), times_at)])
+                add(ClientFlow(name, _name(f["id"], id_at), open_at, data_at), id_at)
         elif "rate_per_hour" in raw:
-            _keys(raw, {"client", "rate_per_hour", "hours", "data_packets"}, f"workload of {name!r}")
-            rate = _count(raw["rate_per_hour"], "rate_per_hour")
-            hour_list = _list(raw.get("hours", list(range(int(horizon // SECONDS_PER_HOUR)))), "hours")
-            n_data = _count(raw.get("data_packets", 0), "data_packets")
-            for h in hour_list:
-                _count(h, "hours entry")
+            _keys(raw, ("client", "rate_per_hour", "hours", "data_packets"), where)
+            rate = _count(raw["rate_per_hour"], f"{where}.rate_per_hour")
+            hours = _list(raw.get("hours", list(range(int(horizon // SECONDS_PER_HOUR)))), f"{where}.hours")
+            n_data = _count(raw.get("data_packets", 0), f"{where}.data_packets")
+            for k, h in enumerate(hours):
+                at = f"{where}.hours[{k}]"
+                _count(h, at)
                 # flows and data packets at or past the horizon would never run
-                for i in range(rate):
-                    open_at = h * SECONDS_PER_HOUR + (i + 1) * SECONDS_PER_HOUR / (rate + 1)
+                for n in range(rate):
+                    open_at = h * SECONDS_PER_HOUR + (n + 1) * SECONDS_PER_HOUR / (rate + 1)
                     if open_at >= horizon:
                         break
                     data_at = (open_at + 0.25 * (j + 1) for j in range(n_data))
                     data_at = tuple(itertools.takewhile(lambda t: t < horizon, data_at))
-                    flows.append(ClientFlow(name, f"{name}-h{h}-{i}", open_at, data_at))
+                    add(ClientFlow(name, f"{name}-h{h}-{n}", open_at, data_at), at)
         else:
-            raise ScriptError(f"client {name!r} needs flows or rate_per_hour")
-    ids = set()
-    for flow in flows:
-        if flow.flow_id in ids:
-            raise ScriptError(f"flow id {flow.flow_id!r} is used twice")
-        ids.add(flow.flow_id)
+            raise ValidationError(where, "needs flows or rate_per_hour")
 
     connects = []
     raw_connects = data.get("switch_connects")
     if raw_connects is None:
         raw_connects = [{"switch": n} for n in topology.switch_names]
-    for c in _list(raw_connects, "switch_connects"):
-        switch = _keys(_object(c, "switch_connects entry"), {"switch", "at"}, "switch_connects entry").get("switch")
+    for i, c in enumerate(_list(raw_connects, "switch_connects")):
+        where = f"switch_connects[{i}]"
+        switch = _keys(c, ("switch", "at"), where, required=("switch",))["switch"]
         if switch not in topology.switch_names:
-            raise ScriptError(f"unknown switch in switch_connects: {switch!r}")
-        connects.append({"switch": switch, "at": _seconds(c.get("at", 0.0), f"connect time of {switch!r}")})
+            raise ValidationError(f"{where}.switch", f"unknown switch {switch!r}")
+        connects.append({"switch": switch, "at": _number(c.get("at", 0.0), f"{where}.at", minimum=0.0)})
 
-    snapshot_times = [_seconds(t, "snapshot time") for t in _list(data.get("snapshot_times", []), "snapshot_times")]
+    times = _list(data.get("snapshot_times", []), "snapshot_times")
+    snapshot_times = [_number(t, "snapshot_times", minimum=0.0) for t in times]
     return topology, config, agents, flows, connects, snapshot_times, horizon
 
 

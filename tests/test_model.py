@@ -163,6 +163,61 @@ def test_topology_refuses_unknown_keys(mutate, where, key):
     assert err.value.field == where
 
 
+def set_name(key, i, value):
+    return lambda d: d[key][i].__setitem__("name", value)
+
+
+# shapes and names the format refuses; each entry names the JSON path its error must carry
+HOSTILE_TOPOLOGY_VALUES = {
+    "switches_not_list": (lambda d: d.__setitem__("switches", "left"), "switches"),
+    "switch_name_with_space": (lambda d: d["switches"].append("far right"), "switches[2]"),
+    "links_not_list": (lambda d: d.__setitem__("links", {}), "links"),
+    "link_not_object": (lambda d: d["links"].append(["left", 4, "right", 4]), "links[1]"),
+    "link_without_b": (lambda d: d["links"][0].pop("b"), "links[0]"),
+    "link_port_string": (lambda d: d["links"][0].__setitem__("a_port", "1"), "links[0].a_port"),
+    "link_port_zero": (lambda d: d["links"][0].__setitem__("b_port", 0), "links[0].b_port"),
+    "link_port_past_2_53": (lambda d: d["links"][0].__setitem__("b_port", 2**53), "links[0].b_port"),
+    "host_port_float": (lambda d: d["datacenters"][0].__setitem__("port", 2.0), "datacenters[0].port"),
+    "host_port_taken": (lambda d: d["datacenters"][1].__setitem__("port", 1), "datacenters[1].port"),
+    "host_on_unknown_switch": (lambda d: d["clients"][0].__setitem__("switch", "middle"), "clients[0].switch"),
+    # names the trace and stdout print: `name=`, `d0 <name> jobs=`
+    "datacenter_name_with_space": (set_name("datacenters", 0, "dc a"), "datacenters[0].name"),
+    "datacenter_name_empty": (set_name("datacenters", 1, ""), "datacenters[1].name"),
+    "datacenter_name_number": (set_name("datacenters", 1, 7), "datacenters[1].name"),
+    "client_name_null": (set_name("clients", 0, None), "clients[0].name"),
+    "client_name_list": (set_name("clients", 0, ["c_a"]), "clients[0].name"),
+    "client_name_with_tab": (set_name("clients", 0, "c\ta"), "clients[0].name"),
+    "client_name_twice": (lambda d: d["clients"].append({"name": "c_a", "switch": "right", "port": 5}), "clients[1].name"),
+}
+
+
+@pytest.mark.parametrize("mutate, where", HOSTILE_TOPOLOGY_VALUES.values(), ids=HOSTILE_TOPOLOGY_VALUES.keys())
+def test_topology_errors_name_the_json_path(mutate, where):
+    with pytest.raises(ValidationError) as err:
+        topology_from_dict(broken(mutate))
+    assert err.value.field == where
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (["not", "an", "object"], "config: must be an object"),
+        ({"made_up_key": 1}, "config: unknown key 'made_up_key'"),
+        ({"report_period": float("inf")}, "report_period: must be a finite number, got inf"),
+        ({"nsrdb": ["temp_column"]}, "nsrdb: must be an object"),
+        ({"nsrdb": {"temp_colum": "x"}}, "nsrdb: unknown key 'temp_colum'"),
+        ({"nsrdb": {"ghi_column": 5}}, "nsrdb.ghi_column: must be a non-empty string"),
+        ({"panel": {"tilt": 30}}, "panel: unknown key 'tilt'"),
+        ({"panel": {"area_m2": True}}, "panel.area_m2: must be a finite number, got True"),
+        ({"weights": [1]}, "weights: retired key"),
+    ],
+)
+def test_config_errors_name_the_json_path(data, message):
+    with pytest.raises(ValidationError) as err:
+        config_from_dict(data)
+    assert str(err.value).startswith(message)
+
+
 def test_topology_rejects_duplicate_pinned_ip():
     data = small_topo_dict()
     data["datacenters"][0]["ip"] = "10.9.9.9"

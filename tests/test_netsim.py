@@ -21,8 +21,8 @@ from grasp import controller as controller_module
 from grasp.cli import main as cli_main
 from grasp.controller import FlowMod, Packet, match_text
 from grasp.datafiles import data_path
-from grasp.errors import GraspError, ScriptError
-from grasp.model import NodeId, SWITCH
+from grasp.errors import GraspError, ValidationError
+from grasp.model import SWITCH, NodeId, config_from_dict, read_json, topology_from_dict
 from grasp import netsim
 from grasp.netsim import FlowTable, Simulation, idle_deadline, load_scenario, run_scenario
 
@@ -226,13 +226,11 @@ def test_scenario_determinism():
     a, a_trace = traced(run_scenario, scenario_path())
     b, b_trace = traced(run_scenario, scenario_path())
     assert a_trace == b_trace
-    assert a.snapshots == b.snapshots
     assert a.per_dc_jobs.tolist() == b.per_dc_jobs.tolist()
 
 
 def test_no_sink_formats_no_trace_line(monkeypatch):
-    # only the snapshots the demo asks for print text: a rule each, by
-    # its match and its switch
+    # not even the flow-table snapshots the demo asks for
     calls = collections.Counter()
 
     def refuse(ip):
@@ -250,9 +248,7 @@ def test_no_sink_formats_no_trace_line(monkeypatch):
     monkeypatch.setattr(NodeId, "__str__", counted("str(node)", NodeId.__str__))
     rep = run_scenario(scenario_path(), seed=0)
     assert rep.per_dc_jobs.tolist() == [0, 0, 0, 10, 0, 0, 0, 0, 0]
-    rules = sum(len(snap.split("\n")) for snap in rep.snapshots.values())
-    assert rules == 6
-    assert calls == {"match_text": rules, "str(node)": rules}
+    assert calls["match_text"] == 0 and calls["str(node)"] == 0
 
 
 def test_scenario_seed_changes_credentials_not_outcomes(geni_hour):
@@ -263,13 +259,11 @@ def test_scenario_seed_changes_credentials_not_outcomes(geni_hour):
 
 
 def test_scenario_snapshots_and_expiry(geni_hour_traced):
-    rep, trace = geni_hour_traced
-    assert set(rep.snapshots) == {43700.0, 46700.0}
-    # long after the last packet, only the permanent table-miss rules remain
-    for snap in rep.snapshots.values():
-        lines = snap.split("\n")
-        assert len(lines) == 3
-        assert all("prio=0" in line and "idle=0" in line for line in lines)
+    _, trace = geni_hour_traced
+    snapshot = [line for line in trace if " ev=snapshot " in line]
+    # long after the last packet, only each switch's permanent table-miss rule remains
+    assert collections.Counter(line.split()[0] for line in snapshot) == {"t=43700.000": 3, "t=46700.000": 3}
+    assert all(" sw=s%d prio=0 " % (i % 3) in line and " idle=0 " in line for i, line in enumerate(snapshot))
     assert any("ev=expire" in line for line in trace)
 
 
@@ -389,7 +383,7 @@ def test_staggered_switch_connect_still_discovers():
 def test_scenario_rejects(mutate):
     scen = tiny_scenario()
     mutate(scen)
-    with pytest.raises(ScriptError):
+    with pytest.raises(ValidationError):
         load_scenario(scen)
 
 
@@ -401,92 +395,119 @@ def set_rate(key, value):
     return lambda s: s["clients"].append({"client": "cl", "rate_per_hour": 1, "hours": [0], key: value})
 
 
+def set_id(value):
+    return set_flow("id", value)
+
+
 NAN, INF = float("nan"), float("inf")
+# each entry names the JSON path its error must carry
 HOSTILE = {
-    "agent_not_object": lambda s: s.__setitem__("agents", [5]),
-    "agents_not_list": lambda s: s.__setitem__("agents", 5),
-    "agent_dc_unhashable": lambda s: s["agents"].append({"dc": ["dc"]}),
-    "agent_respond_string": lambda s: s["agents"][0].__setitem__("respond", "no"),
-    "agent_respond_int": lambda s: s["agents"][0].__setitem__("respond", 1),
-    "agent_twice_for_one_dc": lambda s: s["agents"].append(dict(s["agents"][0])),
-    "flow_not_object": lambda s: s["clients"][0].__setitem__("flows", [3]),
-    "flows_not_list": lambda s: s["clients"][0].__setitem__("flows", "t1"),
-    "client_not_object": lambda s: s.__setitem__("clients", ["cl"]),
-    "data_at_string": set_flow("data_at", "ab"),
-    "data_at_nan": set_flow("data_at", [NAN]),
-    "open_at_nan": set_flow("open_at", NAN),
-    "open_at_bool": set_flow("open_at", True),
-    "data_packets_string": set_rate("data_packets", "x"),
-    "data_packets_float": set_rate("data_packets", 1.5),
-    "hours_string_entry": set_rate("hours", ["a"]),
-    "hours_huge_entry": set_rate("hours", [10**400]),
-    "hours_not_list": set_rate("hours", 3),
-    "rate_bool": lambda s: s["clients"].append({"client": "cl", "rate_per_hour": True}),
-    "snapshot_time_string": lambda s: s.__setitem__("snapshot_times", ["x"]),
-    "snapshot_time_nan": lambda s: s.__setitem__("snapshot_times", [NAN]),
-    "snapshot_times_not_list": lambda s: s.__setitem__("snapshot_times", 5.0),
-    "connect_at_string": lambda s: s.__setitem__("switch_connects", [{"switch": "s", "at": "x"}]),
-    "connect_at_inf": lambda s: s.__setitem__("switch_connects", [{"switch": "s", "at": INF}]),
-    "connect_not_object": lambda s: s.__setitem__("switch_connects", ["s"]),
-    "register_at_nan": lambda s: s["agents"][0].__setitem__("register_at", NAN),
-    "register_at_huge_int": lambda s: s["agents"][0].__setitem__("register_at", 10**400),
-    "horizon_inf": lambda s: s.__setitem__("horizon", INF),
-    "horizon_nan": lambda s: s.__setitem__("horizon", NAN),
-    "horizon_bool": lambda s: s.__setitem__("horizon", True),
-    "horizon_past_a_year": lambda s: s.__setitem__("horizon", 1e12),
-    "horizon_one_ulp_past_a_year": lambda s: s.__setitem__("horizon", math.nextafter(8760 * 3600.0, INF)),
-    "weather_csv_not_path": lambda s: s["agents"][0].__setitem__("profile", {"weather_csv": 5}),
-    "profile_csv_nul": lambda s: s["agents"][0].__setitem__("profile", {"profile_csv": "a\0b"}),
+    "agent_not_object": (lambda s: s.__setitem__("agents", [5]), "agents[0]"),
+    "agents_not_list": (lambda s: s.__setitem__("agents", 5), "agents"),
+    "agent_dc_unhashable": (lambda s: s["agents"].append({"dc": ["dc"]}), "agents[1].dc"),
+    "agent_respond_string": (lambda s: s["agents"][0].__setitem__("respond", "no"), "agents[0].respond"),
+    "agent_respond_int": (lambda s: s["agents"][0].__setitem__("respond", 1), "agents[0].respond"),
+    "agent_twice_for_one_dc": (lambda s: s["agents"].append(dict(s["agents"][0])), "agents[1].dc"),
+    "flow_not_object": (lambda s: s["clients"][0].__setitem__("flows", [3]), "clients[0].flows[0]"),
+    "flows_not_list": (lambda s: s["clients"][0].__setitem__("flows", "t1"), "clients[0].flows"),
+    "client_not_object": (lambda s: s.__setitem__("clients", ["cl"]), "clients[0]"),
+    "data_at_string": (set_flow("data_at", "ab"), "clients[0].flows[0].data_at"),
+    "data_at_nan": (set_flow("data_at", [NAN]), "clients[0].flows[0].data_at"),
+    "open_at_nan": (set_flow("open_at", NAN), "clients[0].flows[0].open_at"),
+    "open_at_bool": (set_flow("open_at", True), "clients[0].flows[0].open_at"),
+    "data_packets_string": (set_rate("data_packets", "x"), "clients[1].data_packets"),
+    "data_packets_float": (set_rate("data_packets", 1.5), "clients[1].data_packets"),
+    "hours_string_entry": (set_rate("hours", ["a"]), "clients[1].hours[0]"),
+    "hours_huge_entry": (set_rate("hours", [10**400]), "clients[1].hours[0]"),
+    "hours_not_list": (set_rate("hours", 3), "clients[1].hours"),
+    "rate_bool": (lambda s: s["clients"].append({"client": "cl", "rate_per_hour": True}), "clients[1].rate_per_hour"),
+    "snapshot_time_string": (lambda s: s.__setitem__("snapshot_times", ["x"]), "snapshot_times"),
+    "snapshot_time_nan": (lambda s: s.__setitem__("snapshot_times", [NAN]), "snapshot_times"),
+    "snapshot_times_not_list": (lambda s: s.__setitem__("snapshot_times", 5.0), "snapshot_times"),
+    "connect_at_string": (lambda s: s.__setitem__("switch_connects", [{"switch": "s", "at": "x"}]), "switch_connects[0].at"),
+    "connect_at_inf": (lambda s: s.__setitem__("switch_connects", [{"switch": "s", "at": INF}]), "switch_connects[0].at"),
+    "connect_not_object": (lambda s: s.__setitem__("switch_connects", ["s"]), "switch_connects[0]"),
+    "register_at_nan": (lambda s: s["agents"][0].__setitem__("register_at", NAN), "agents[0].register_at"),
+    "register_at_huge_int": (lambda s: s["agents"][0].__setitem__("register_at", 10**400), "agents[0].register_at"),
+    "horizon_inf": (lambda s: s.__setitem__("horizon", INF), "horizon"),
+    "horizon_nan": (lambda s: s.__setitem__("horizon", NAN), "horizon"),
+    "horizon_bool": (lambda s: s.__setitem__("horizon", True), "horizon"),
+    "horizon_past_a_year": (lambda s: s.__setitem__("horizon", 1e12), "horizon"),
+    "horizon_one_ulp_past_a_year": (
+        lambda s: s.__setitem__("horizon", math.nextafter(8760 * 3600.0, INF)), "horizon"),
+    "weather_csv_not_path": (
+        lambda s: s["agents"][0].__setitem__("profile", {"weather_csv": 5}), "agents[0].profile.weather_csv"),
+    "profile_csv_nul": (
+        lambda s: s["agents"][0].__setitem__("profile", {"profile_csv": "a\0b"}), "agents[0].profile.profile_csv"),
+    # every scenario time is >= 0, as register_at, open_at and data_at already were
+    "connect_at_negative": (lambda s: s.__setitem__("switch_connects", [{"switch": "s", "at": -5}]), "switch_connects[0].at"),
+    "snapshot_time_negative": (lambda s: s.__setitem__("snapshot_times", [1.0, -0.5]), "snapshot_times"),
+    # a flow id is printed as the trace's flow= field: a string with no whitespace
+    "flow_id_null": (set_id(None), "clients[0].flows[0].id"),
+    "flow_id_list": (set_id(["x", 1]), "clients[0].flows[0].id"),
+    "flow_id_number": (set_id(7), "clients[0].flows[0].id"),
+    "flow_id_empty": (set_id(""), "clients[0].flows[0].id"),
+    "flow_id_with_space": (set_id("a b"), "clients[0].flows[0].id"),
+    "flow_id_with_newline": (set_id("a\nt=0.000"), "clients[0].flows[0].id"),
+    # so is a data-center or client name of an inline topology; its paths start at the topology
+    "dc_name_with_space": (lambda s: s["topology"]["datacenters"][0].__setitem__("name", "d c"), "datacenters[0].name"),
+    "client_name_empty": (lambda s: s["topology"]["clients"][0].__setitem__("name", ""), "clients[0].name"),
     # keys the format does not read, misspelled or beside the ones in use
-    "unknown_top_level_key": lambda s: s.__setitem__("horizn", 12.0),
-    "unknown_agent_key": lambda s: s["agents"][0].__setitem__("repsond", True),
-    "unknown_profile_key": lambda s: s["agents"][0]["profile"].__setitem__("peak", 4.0),
-    "profile_with_two_sources": lambda s: s["agents"][0]["profile"].__setitem__("weather_csv", "x.csv"),
-    "unknown_workload_key": lambda s: s["clients"][0].__setitem__("flow", []),
-    "flows_beside_rate": lambda s: s["clients"][0].__setitem__("rate_per_hour", 1),
-    "unknown_rate_workload_key": set_rate("data_packet", 1),
-    "unknown_flow_key": set_flow("dat_at", [2.5]),
-    "unknown_connect_key": lambda s: s.__setitem__("switch_connects", [{"switch": "s", "at": 0.0, "when": 1.0}]),
+    "unknown_top_level_key": (lambda s: s.__setitem__("horizn", 12.0), "scenario"),
+    "unknown_agent_key": (lambda s: s["agents"][0].__setitem__("repsond", True), "agents[0]"),
+    "unknown_profile_key": (lambda s: s["agents"][0]["profile"].__setitem__("peak", 4.0), "agents[0].profile"),
+    "profile_with_two_sources": (
+        lambda s: s["agents"][0]["profile"].__setitem__("weather_csv", "x.csv"), "agents[0].profile"),
+    "unknown_workload_key": (lambda s: s["clients"][0].__setitem__("flow", []), "clients[0]"),
+    "flows_beside_rate": (lambda s: s["clients"][0].__setitem__("rate_per_hour", 1), "clients[0]"),
+    "unknown_rate_workload_key": (set_rate("data_packet", 1), "clients[1]"),
+    "unknown_flow_key": (set_flow("dat_at", [2.5]), "clients[0].flows[0]"),
+    "unknown_connect_key": (
+        lambda s: s.__setitem__("switch_connects", [{"switch": "s", "at": 0.0, "when": 1.0}]), "switch_connects[0]"),
     # a repeated flow id makes two flows that deliveries cannot tell apart;
     # hour 0's one generated flow, cl-h0-0, opens at 1800 s
-    "flow_id_twice": lambda s: s["clients"][0]["flows"].append({"id": "t1", "open_at": 3.0}),
-    "hours_entry_twice": lambda s: (s.__setitem__("horizon", 3600.0), set_rate("hours", [0, 0])(s)),
-    "flow_id_of_a_generated_flow": lambda s: (
-        s.__setitem__("horizon", 3600.0),
-        s["clients"][0]["flows"][0].__setitem__("id", "cl-h0-0"),
-        set_rate("hours", [0])(s),
+    "flow_id_twice": (lambda s: s["clients"][0]["flows"].append({"id": "t1", "open_at": 3.0}), "clients[0].flows[1].id"),
+    "hours_entry_twice": (lambda s: (s.__setitem__("horizon", 3600.0), set_rate("hours", [0, 0])(s)), "clients[1].hours[1]"),
+    "flow_id_of_a_generated_flow": (
+        lambda s: (
+            s.__setitem__("horizon", 3600.0),
+            s["clients"][0]["flows"][0].__setitem__("id", "cl-h0-0"),
+            set_rate("hours", [0])(s),
+        ),
+        "clients[1].hours[0]",
     ),
 }
 
 
-@pytest.mark.parametrize("mutate", HOSTILE.values(), ids=HOSTILE.keys())
-def test_scenario_rejects_hostile_input(mutate, tmp_path, capsys):
+@pytest.mark.parametrize("mutate, field", HOSTILE.values(), ids=HOSTILE.keys())
+def test_scenario_rejects_hostile_input(mutate, field, tmp_path, capsys):
     scen = tiny_scenario()
     mutate(scen)
-    with pytest.raises(ScriptError):
+    with pytest.raises(ValidationError) as err:
         load_scenario(scen)
+    assert err.value.field == field
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scen))
     capsys.readouterr()
     assert cli_main(["scenario", "--scenario", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith("error: %s: " % field)
 
 
 @pytest.mark.parametrize(
     "mutate, message",
     [
-        (HOSTILE["unknown_top_level_key"], "unknown key 'horizn' in scenario"),
-        (HOSTILE["unknown_agent_key"], "unknown key 'repsond' in agent"),
-        (HOSTILE["unknown_profile_key"], "unknown key 'peak' in agent profile"),
-        (HOSTILE["unknown_flow_key"], "unknown key 'dat_at' in flow of 'cl'"),
-        (HOSTILE["flow_id_twice"], "flow id 't1' is used twice"),
-        (HOSTILE["hours_entry_twice"], "flow id 'cl-h0-0' is used twice"),
+        (HOSTILE["unknown_top_level_key"][0], "scenario: unknown key 'horizn'"),
+        (HOSTILE["unknown_agent_key"][0], "agents[0]: unknown key 'repsond'"),
+        (HOSTILE["unknown_profile_key"][0], "agents[0].profile: unknown key 'peak'"),
+        (HOSTILE["unknown_flow_key"][0], "clients[0].flows[0]: unknown key 'dat_at'"),
+        (HOSTILE["flow_id_twice"][0], "flow id 't1' is used twice"),
+        (HOSTILE["hours_entry_twice"][0], "flow id 'cl-h0-0' is used twice"),
     ],
 )
 def test_scenario_errors_name_the_key_or_id(mutate, message):
     scen = tiny_scenario()
     mutate(scen)
-    with pytest.raises(ScriptError, match=re.escape(message)):
+    with pytest.raises(ValidationError, match=re.escape(message)):
         load_scenario(scen)
 
 
@@ -498,7 +519,7 @@ def test_report_period_too_small_to_move_the_clock_fails_at_once(tmp_path, capsy
     # 0.5 + 1e-300 == 0.5: the agent would report at t=0.5 forever
     scen = tiny_scenario(config={"report_period": 1e-300}, horizon=10.0)
     start = time.perf_counter()
-    with pytest.raises(ScriptError, match="report_period"):
+    with pytest.raises(ValidationError, match="report_period"):
         run_scenario(scen, seed=0)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scen))
@@ -512,7 +533,7 @@ def test_report_period_too_small_to_move_the_clock_fails_at_once(tmp_path, capsy
 def test_scenario_rejects_bad_peak_wh(peak):
     scen = tiny_scenario()
     scen["agents"][0]["profile"] = {"shape": "constant", "peak_wh": peak}
-    with pytest.raises(ScriptError, match="peak_wh"):
+    with pytest.raises(ValidationError, match="peak_wh"):
         load_scenario(scen)
 
 
@@ -548,20 +569,36 @@ def key_paths(node, prefix=()):
         yield from key_paths(value, prefix + (key,))
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_fuzzed_scenarios_fail_cleanly(data):
-    scen = tiny_scenario(snapshot_times=[1.0, 3.5], switch_connects=[{"switch": "s", "at": 0.0}])
-    scen["clients"].append({"client": "cl", "rate_per_hour": 2, "hours": [0], "data_packets": 1})
+def mutated(data, doc):
+    """`doc` after one to three draws that each replace or delete a value anywhere in it."""
     for _ in range(data.draw(st.integers(1, 3))):
-        path = data.draw(st.sampled_from(list(key_paths(scen))))
-        parent = scen
+        path = data.draw(st.sampled_from(list(key_paths(doc))))
+        parent = doc
         for key in path[:-1]:
             parent = parent[key]
         if isinstance(parent, dict) and data.draw(st.booleans()):
             del parent[path[-1]]
         else:
             parent[path[-1]] = data.draw(JSON_VALUES)
+    return doc
+
+
+def cli_exit_code(argv, flag, doc):
+    """What `grasp <argv> <flag> FILE` exits with, FILE holding `doc` as JSON."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "input.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return cli_main(argv + [flag, path])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_scenarios_fail_cleanly(data):
+    scen = tiny_scenario(snapshot_times=[1.0, 3.5], switch_connects=[{"switch": "s", "at": 0.0}])
+    scen["clients"].append({"client": "cl", "rate_per_hour": 2, "hours": [0], "data_packets": 1})
+    mutated(data, scen)
     horizon = scen.get("horizon", 3600.0)
     if isinstance(horizon, numbers.Real) and not isinstance(horizon, bool) and horizon > 120:
         scen["horizon"] = 120.0
@@ -569,12 +606,22 @@ def test_fuzzed_scenarios_fail_cleanly(data):
         run_scenario(scen, seed=0)
     except (GraspError, OSError):
         pass
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "scenario.json")
-        with open(path, "w") as fh:
-            json.dump(scen, fh)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            assert cli_main(["scenario", "--scenario", path]) in (0, 1, 2)
+    assert cli_exit_code(["scenario"], "--scenario", scen) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("name, load, flag", [
+    pytest.param("geni.topo.json", topology_from_dict, "--topology", id="topology"),
+    pytest.param("controller.json", config_from_dict, "--config", id="config"),
+])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzzed_bundled_inputs_fail_cleanly(name, load, flag, data):
+    doc = mutated(data, read_json(data_path(name)))
+    try:
+        load(doc)
+    except (GraspError, OSError):
+        pass
+    assert cli_exit_code(["validate"], flag, doc) in (0, 1, 2)
 
 
 class EverySecond(Simulation):
@@ -617,7 +664,7 @@ def run_every_second(scen, seed=0, emit=None):
 def same_run(a, b):
     """Whether two `traced` runs have the same trace and outcome."""
     (ra, la), (rb, lb) = a, b
-    return (la, ra.snapshots, ra.deliveries, ra.client_rx) == (lb, rb.snapshots, rb.deliveries, rb.client_rx)
+    return (la, ra.deliveries, ra.client_rx) == (lb, rb.deliveries, rb.client_rx)
 
 
 def first_due_second(last_hit, timeout, horizon):
@@ -736,8 +783,8 @@ def small_scenarios(draw):
         "clients": [{"client": name, "flows": f} for name, f in flows.items()],
         "snapshot_times": draw(st.lists(times, max_size=3)),
         "switch_connects": [
-            {"switch": "s", "at": draw(st.sampled_from([-3.0, 0.0]) | TIMES)},
-            {"switch": "t", "at": draw(st.sampled_from([-1.5, 0.0]) | TIMES)},
+            {"switch": "s", "at": draw(st.just(0.0) | TIMES)},
+            {"switch": "t", "at": draw(st.just(0.0) | TIMES)},
         ],
     }
 
