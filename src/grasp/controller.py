@@ -73,11 +73,15 @@ class FlowMod(NamedTuple):
 
 
 class PacketOut(NamedTuple):
-    """An instruction to emit a packet from a switch port."""
+    """An instruction to emit a packet from a switch port, or with port
+    TABLE to run it through the switch's flow table."""
 
     switch: NodeId
     port: int
     packet: Packet
+
+
+TABLE = None  # OpenFlow's OFPP_TABLE: a packet-out through the flow table
 
 
 @dataclass
@@ -293,22 +297,8 @@ class Controller:
         mods = self.install_path(path, pkt.ip_src, pkt_in.port, rec)
         if emit is not None:
             emit("t=%.3f ev=decision flow=%s dc=d%d sw=%s score=%.6f" % (now, flow_id, rec.dc_id, rec.switch, score))
-        forwarded = Packet(
-            kind=pkt.kind,
-            eth_src=pkt.eth_src,
-            eth_dst=rec.mac,
-            ip_src=pkt.ip_src,
-            ip_dst=rec.ip,
-            payload=pkt.payload,
-        )
-        if rec.switch == pkt_in.switch:
-            out_port = rec.port
-        else:
-            out_port = self.adjacency[(pkt_in.switch, path[1])]
-        return ControllerResponse(
-            flow_mods=mods,
-            packets=[PacketOut(pkt_in.switch, out_port, forwarded)],
-        )
+        # the first hop's new rule rewrites and forwards the packet
+        return ControllerResponse(flow_mods=mods, packets=[PacketOut(pkt_in.switch, TABLE, pkt)])
 
     # -- paths and rules ---------------------------------------------------
 

@@ -262,6 +262,13 @@ def topology_from_dict(data):
 
     pinned = {}
 
+    def pin(parse, raw, key, where):
+        """A pinned address, parsed; a bad one names its JSON path."""
+        try:
+            return parse(raw[key])
+        except ParseError as exc:
+            raise ValidationError(f"{where}.{key}", str(exc)) from None
+
     def read_attachments(key, kind):
         out = []
         seen = set()
@@ -275,8 +282,8 @@ def topology_from_dict(data):
             node = NodeId(kind, i)
             if "ip" in raw or "mac" in raw:
                 auto = auto_address(node)
-                ip = parse_ip(raw["ip"]) if "ip" in raw else auto.ip
-                mac = parse_mac(raw["mac"]) if "mac" in raw else auto.mac
+                ip = pin(parse_ip, raw, "ip", where) if "ip" in raw else auto.ip
+                mac = pin(parse_mac, raw, "mac", where) if "mac" in raw else auto.mac
                 pinned[node] = Address(ip=ip, mac=mac)
             out.append(Attachment(node=node, name=name, switch=switch, port=port))
         return out

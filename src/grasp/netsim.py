@@ -22,7 +22,9 @@ center as fast mode.
 
 Scenario files are JSON: which topology and controller config to use,
 when data-center agents register (each backed by an energy profile), and
-the client workload as explicit flow-open times or a per-hour rate.
+the client workload as explicit flow-open times or a per-hour rate.  A
+scenario loads into the events it starts with, every name in them already
+resolved to its node, and running it schedules those events as they are.
 Time 0 is midnight of hour 0, and the horizon is at most one profile year.
 An agent reports its energy first one `report_period` after its
 registration is acknowledged, so until then the controller scores every
@@ -36,16 +38,19 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .controller import GREEN_ENERGY_PARAM, SERVICE_IP, Controller, Packet, PacketIn, match_text
+from .controller import GREEN_ENERGY_PARAM, SERVICE_IP, TABLE, Controller, Packet, PacketIn, match_text
 from .energy import HOURS_PER_YEAR, build_profile, load_profile_csv, parse_nsrdb_csv, synth_profile
 from .errors import ValidationError
 from .model import (
     DATACENTER,
     SWITCH,
+    ControllerConfig,
     NodeId,
+    Topology,
     _count,
     _keys,
     _list,
@@ -192,22 +197,23 @@ class FlowTable:
         return sorted(lines)
 
 
-@dataclass
-class AgentScript:
-    """One data center's behavior: when to register, what energy to report."""
+class AgentScript(NamedTuple):
+    """One data center's agent: the energy it reports, and whether it
+    answers each request it receives."""
 
-    dc_name: str
-    register_at: float
+    node: NodeId
     profile: object
-    respond: bool = False
+    respond: bool
 
 
-@dataclass
-class ClientFlow:
-    client_name: str
-    flow_id: str
-    open_at: float
-    data_at: tuple = ()
+class Scenario(NamedTuple):
+    """A loaded scenario: `events` are the `(time, kind, payload)` entries
+    it starts with, in the order they are scheduled."""
+
+    topology: Topology
+    config: ControllerConfig
+    horizon: float
+    events: list
 
 
 @dataclass
@@ -291,6 +297,9 @@ class Simulation:
                     tick = ticks[mod.idle_timeout] = idle_deadline(now, mod.idle_timeout, self.horizon)
                 self._arm(i, tick)
         for out in resp.packets:
+            if out.port is TABLE:
+                self._switch_rx(now, out.switch, None, out.packet)
+                continue
             peer = self._ports[out.switch.index].get(out.port)
             if peer is None:
                 if self.emit is not None:
@@ -365,8 +374,9 @@ class Simulation:
                 )
         # anything else a data center receives is ignored
 
-    def _agent_register(self, now, node):
-        self._emit_from_host(now, node, "register", {"name": self._agents[node]["script"].dc_name})
+    def _agent_register(self, now, script):
+        self._agents[script.node] = {"script": script, "dc_id": None}
+        self._emit_from_host(now, script.node, "register", {"name": self._attachment(script.node).name})
 
     def _agent_report(self, now, node):
         agent = self._agents[node]
@@ -473,6 +483,16 @@ def _path(base_dir, value, where):
     return os.path.join(base_dir, value)
 
 
+def _within(where, read, *args):
+    """`read(*args)` for the object at JSON path `where`: a ValidationError
+    path inside it gets `where.` in front; one naming `where` itself stays."""
+    try:
+        return read(*args)
+    except ValidationError as exc:
+        field = exc.field if exc.field == where else f"{where}.{exc.field}"
+        raise ValidationError(field, exc.problem) from None
+
+
 def _resolve_profile(spec, base_dir, config, where):
     if "weather_csv" in _object(spec, where):
         path = _path(base_dir, _keys(spec, ("weather_csv",), where)["weather_csv"], f"{where}.weather_csv")
@@ -482,20 +502,21 @@ def _resolve_profile(spec, base_dir, config, where):
         path = _path(base_dir, _keys(spec, ("profile_csv",), where)["profile_csv"], f"{where}.profile_csv")
         return load_profile_csv(path, site=os.path.basename(path))
     _keys(spec, ("shape", "peak_wh"), where, required=("shape",))
-    try:
-        return synth_profile(spec["shape"], spec.get("peak_wh", 0.0))
-    except ValidationError as exc:
-        raise ValidationError(f"{where}.{exc.field}", exc.problem) from None
+    return _within(where, synth_profile, spec["shape"], spec.get("peak_wh", 0.0))
 
 
 def load_scenario(source, base_dir=None):
-    """Parse a scenario file (or dict) into topology, config and scripts.
+    """Parse a scenario file (or dict) into a Scenario.
 
     The JSON goes through model's shared shape checks: objects and lists
     where the format has them, no key it does not read, every time a
     finite number >= 0 of seconds, counts non-negative integers, and every
     name or flow id a non-empty string with no whitespace, the flow ids
     unique.  Anything else raises ValidationError naming its JSON path.
+
+    The events come in the order `run_scenario` schedules them, which
+    orders those of one instant: snapshots by time, switch connects, agent
+    registrations, then each flow's open followed by its data packets.
     """
     if isinstance(source, (str, os.PathLike)):
         base_dir = os.path.dirname(os.path.abspath(source))
@@ -508,55 +529,55 @@ def load_scenario(source, base_dir=None):
     topo_spec = data["topology"]
     if isinstance(topo_spec, str):
         topology = load_topology(_path(base_dir, topo_spec, "topology"))
-    else:
-        topology = topology_from_dict(topo_spec)
+    else:  # inline: its paths start at the scenario's `topology`, as do those of `config`
+        topology = _within("topology", topology_from_dict, topo_spec)
 
     config_spec = data.get("config", {})
     if isinstance(config_spec, str):
         config = load_config(_path(base_dir, config_spec, "config"))
     else:
-        config = config_from_dict(config_spec)
+        config = _within("config", config_from_dict, config_spec)
 
     horizon = _number(data.get("horizon", SECONDS_PER_HOUR), "horizon")
     if not 0 < horizon <= MAX_HORIZON:
         raise ValidationError("horizon", f"must be positive and at most one profile year ({MAX_HORIZON:g} s), got {horizon!r}")
 
-    dc_names = {a.name for a in topology.datacenters}
-    agents = []
+    dc_by_name = {a.name: a.node for a in topology.datacenters}
+    registers = []
     for i, raw in enumerate(_list(data.get("agents", []), "agents")):
         where = f"agents[{i}]"
         name = _keys(raw, ("dc", "register_at", "respond", "profile"), where, required=("dc",))["dc"]
-        if not isinstance(name, str) or name not in dc_names:
+        if not isinstance(name, str) or name not in dc_by_name:
             raise ValidationError(f"{where}.dc", f"unknown data center {name!r}")
-        if any(a.dc_name == name for a in agents):
+        node = dc_by_name[name]
+        if any(script.node == node for _, _, script in registers):
             raise ValidationError(f"{where}.dc", f"data center {name!r} has two agents")
         respond = raw.get("respond", False)
         if not isinstance(respond, bool):
             raise ValidationError(f"{where}.respond", f"must be true or false, got {respond!r}")
-        agents.append(
-            AgentScript(
-                dc_name=name,
-                register_at=_number(raw.get("register_at", 0.5), f"{where}.register_at", minimum=0.0),
-                profile=_resolve_profile(raw.get("profile", {"shape": "zero"}), base_dir, config, f"{where}.profile"),
-                respond=respond,
-            )
-        )
+        register_at = _number(raw.get("register_at", 0.5), f"{where}.register_at", minimum=0.0)
+        profile = _resolve_profile(raw.get("profile", {"shape": "zero"}), base_dir, config, f"{where}.profile")
+        registers.append((register_at, "agent_register", AgentScript(node, profile, respond)))
 
-    client_names = {a.name for a in topology.clients}
+    client_by_name = {a.name: a.node for a in topology.clients}
     flows = []
     ids = set()
 
-    def add(flow, where):
-        if flow.flow_id in ids:
-            raise ValidationError(where, f"flow id {flow.flow_id!r} is used twice")
-        ids.add(flow.flow_id)
-        flows.append(flow)
+    def add(node, flow_id, open_at, data_at, where):
+        if flow_id in ids:
+            raise ValidationError(where, f"flow id {flow_id!r} is used twice")
+        ids.add(flow_id)
+        flow = (node, flow_id)
+        flows.append((open_at, "flow_open", flow))
+        for t in data_at:
+            flows.append((t, "flow_data", flow))
 
     for i, raw in enumerate(_list(data.get("clients", []), "clients")):
         where = f"clients[{i}]"
         name = _object(raw, where).get("client")
-        if not isinstance(name, str) or name not in client_names:
+        if not isinstance(name, str) or name not in client_by_name:
             raise ValidationError(f"{where}.client", f"unknown client {name!r}")
+        node = client_by_name[name]
         if "flows" in raw:
             _keys(raw, ("client", "flows"), where)
             for j, f in enumerate(_list(raw["flows"], f"{where}.flows")):
@@ -564,8 +585,8 @@ def load_scenario(source, base_dir=None):
                 _keys(f, ("id", "open_at", "data_at"), at, required=("id", "open_at"))
                 id_at, times_at = at + ".id", at + ".data_at"
                 open_at = _number(f["open_at"], at + ".open_at", minimum=0.0)
-                data_at = tuple([_number(t, times_at, open_at) for t in _list(f.get("data_at", ()), times_at)])
-                add(ClientFlow(name, _name(f["id"], id_at), open_at, data_at), id_at)
+                data_at = [_number(t, times_at, open_at) for t in _list(f.get("data_at", ()), times_at)]
+                add(node, _name(f["id"], id_at), open_at, data_at, id_at)
         elif "rate_per_hour" in raw:
             _keys(raw, ("client", "rate_per_hour", "hours", "data_packets"), where)
             rate = _count(raw["rate_per_hour"], f"{where}.rate_per_hour")
@@ -580,8 +601,7 @@ def load_scenario(source, base_dir=None):
                     if open_at >= horizon:
                         break
                     data_at = (open_at + 0.25 * (j + 1) for j in range(n_data))
-                    data_at = tuple(itertools.takewhile(lambda t: t < horizon, data_at))
-                    add(ClientFlow(name, f"{name}-h{h}-{n}", open_at, data_at), at)
+                    add(node, f"{name}-h{h}-{n}", open_at, itertools.takewhile(lambda t: t < horizon, data_at), at)
         else:
             raise ValidationError(where, "needs flows or rate_per_hour")
 
@@ -594,43 +614,20 @@ def load_scenario(source, base_dir=None):
         switch = _keys(c, ("switch", "at"), where, required=("switch",))["switch"]
         if switch not in topology.switch_names:
             raise ValidationError(f"{where}.switch", f"unknown switch {switch!r}")
-        connects.append({"switch": switch, "at": _number(c.get("at", 0.0), f"{where}.at", minimum=0.0)})
+        at = _number(c.get("at", 0.0), f"{where}.at", minimum=0.0)
+        connects.append((at, "connect", topology.switch_id(switch)))
 
     times = _list(data.get("snapshot_times", []), "snapshot_times")
-    snapshot_times = [_number(t, "snapshot_times", minimum=0.0) for t in times]
-    return topology, config, agents, flows, connects, snapshot_times, horizon
+    snapshots = [(t, "snapshot", None) for t in sorted(_number(t, "snapshot_times", minimum=0.0) for t in times)]
+    return Scenario(topology, config, horizon, snapshots + connects + registers + flows)
 
 
 def run_scenario(source, base_dir=None, seed=0, emit=None):
     """Run one scenario end to end and summarize what the data plane did.
     Each trace line goes to `emit`, if given, as it happens."""
-    topology, config, agents, flows, connects, snapshot_times, horizon = load_scenario(source, base_dir=base_dir)
+    topology, config, horizon, events = load_scenario(source, base_dir=base_dir)
     sim = Simulation(topology, config, seed=seed, emit=emit)
-
-    # same-instant ordering after the tick: snapshots, then scripted traffic
-    for t in sorted(snapshot_times):
-        sim.schedule(t, "snapshot", None)
-
-    for c in connects:
-        sim.schedule(c["at"], "connect", sim.topology.switch_id(c["switch"]))
-
-    dc_by_name = {a.name: a.node for a in topology.datacenters}
-    for script in agents:
-        node = dc_by_name[script.dc_name]
-        sim._agents[node] = {
-            "script": script,
-            "dc_id": None,
-            "passcode": None,
-            "period": config.report_period,
-        }
-        sim.schedule(script.register_at, "agent_register", node)
-
-    client_by_name = {a.name: a.node for a in topology.clients}
-    for flow in flows:
-        node = client_by_name[flow.client_name]
-        sim.schedule(flow.open_at, "flow_open", (node, flow.flow_id))
-        for t in flow.data_at:
-            sim.schedule(t, "flow_data", (node, flow.flow_id))
-
+    for event in events:
+        sim.schedule(*event)
     sim.run(horizon)
     return sim.report()

@@ -13,6 +13,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grasp
 from grasp.cli import main as cli_main
@@ -252,6 +254,61 @@ def test_criterion_8_modes_part_when_a_flow_rides_the_last_rule(site_profiles):
         "criterion 8: with flows closer than flow_idle_timeout the modes place "
         "differently in %d of 24 h, with the same 12 jobs each hour" % apart,
     )
+
+
+@st.composite
+def demo_workloads(draw):
+    """The 24 h demo's fabric and agents under a drawn workload of 24-72 h,
+    inside both preconditions of the modes' agreement.  At most 4 flows per
+    client-hour open an hour's first flow 720 s in, after a report period
+    of at most 600 s has brought that hour's energy; a client's flows are
+    then at least 720 s apart, against a 2 s idle timeout."""
+    hours = draw(st.integers(24, 72))
+    names = draw(st.lists(st.sampled_from(["c1", "c2", "c3", "c4", "c5", "c6"]), min_size=1, max_size=6, unique=True))
+    clients = [
+        {
+            "client": name,
+            "rate_per_hour": draw(st.integers(1, 4)),
+            "hours": draw(st.lists(st.integers(0, hours - 1), unique=True, max_size=hours)),
+            "data_packets": draw(st.integers(0, 2)),
+        }
+        for name in names
+    ]
+    config = {
+        "scheduler": draw(st.sampled_from(["green_aware", "round_robin"])),
+        "job_energy_wh": draw(st.sampled_from([0.3, 1.0, 191.0]) | st.floats(0.3, 191.0)),
+        "report_period": draw(st.sampled_from([60.0, 600.0]) | st.floats(60.0, 600.0)),
+    }
+    return hours, config, clients
+
+
+@settings(max_examples=5, deadline=None)
+@given(workload=demo_workloads())
+def test_criterion_8_modes_agree_on_generated_workloads(site_profiles, workload):
+    hours, config, clients = workload
+    scen = read_json(data_path("scenario_geni_24h.json"))
+    scen["config"].update(config)
+    scen["horizon"] = hours * 3600.0
+    scen["clients"] = clients
+    rep = run_scenario(scen, base_dir=data_path(), seed=0)
+    protocol = np.zeros((hours, 9), dtype=np.int64)
+    for _, dc_id, t in rep.deliveries:
+        protocol[int(t // 3600.0), dc_id] += 1
+
+    # fast mode places a fixed number of jobs an hour, so each hour is its own
+    # run; round robin's cursor carries over every job placed before the hour,
+    # where fast mode's carries over the same number each hour
+    sched, k = config["scheduler"], config["job_energy_wh"]
+    fast = np.zeros_like(protocol)
+    placed = 0
+    for h in range(hours):
+        jobs = sum(c["rate_per_hour"] for c in clients if h in c["hours"])
+        if sched == "green_aware":
+            fast[h] = run_year(site_profiles, sched, k, jobs, hours=h + 1).per_dc_load[h]
+        else:
+            fast[h] = np.roll(run_year(site_profiles, sched, k, jobs, hours=1).per_dc_load[0], placed)
+        placed += jobs
+    assert protocol.tolist() == fast.tolist()
 
 
 # A year of the 24 h demo's workload in a fresh interpreter; it prints its

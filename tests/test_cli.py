@@ -127,6 +127,27 @@ def test_trace_out_holds_the_lines_a_list_sink_collects(tmp_path, demo):
     assert trace.read_bytes() == "".join(line + "\n" for line in lines).encode()
 
 
+def test_the_benchmark_tracer_still_counts_what_it_wraps(tmp_path, monkeypatch, capsys):
+    # the benchmark's tracer wraps grasp functions by name; a rename or a
+    # bypass would leave its counts at 0 with nothing failing
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    from tracer import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert main(["scenario", "--scenario", data_path("scenario_geni_1h.json")]) == 0
+        assert main(["run", "--energy-dir", data_path("sites"), "--hours", "24",
+                     "--out", str(tmp_path / "metrics.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    counts = tracer.counts
+    assert counts["netsim.events.flow_open"] == 10
+    assert counts["controller.packet_in.request"] == 10
+    assert counts["experiment.run_year.calls"] > 0
+
+
 def test_a_failed_scenario_leaves_no_trace_file(tmp_path, capsys):
     # an agent's second report would fall at the instant of its first; by
     # then the run has streamed its connect, discovery and register lines

@@ -11,10 +11,12 @@ from grasp.controller import (
     FLOW_PRIORITY,
     GREEN_ENERGY_PARAM,
     SERVICE_IP,
+    TABLE,
     TABLE_MISS_PRIORITY,
     Controller,
     Packet,
     PacketIn,
+    PacketOut,
 )
 from grasp.energy import valid_energy
 from grasp.errors import AlreadyConnected, NoPath, UnknownSwitch
@@ -415,11 +417,8 @@ def test_request_installs_path_and_rewrites():
     # egress switch rules come first so the path is ready end to end
     assert resp.flow_mods[0].switch == c
 
-    (out,) = resp.packets
-    assert out.switch == a and out.port == 1
-    assert out.packet.eth_dst == dc.mac
-    assert out.packet.ip_dst == dc.ip
-    assert out.packet.ip_src == client_ip
+    # the packet goes back through a's table, whose new rule forwards it
+    assert resp.packets == [PacketOut(a, TABLE, pkt)]
 
 
 def test_request_without_flow_id_logs_the_client_ip():
@@ -463,7 +462,9 @@ def test_request_same_switch_short_path():
     cl, pkt = client_request(topo)
     resp = controller.on_packet_in(PacketIn(cl.switch, cl.port, pkt))
     assert len(resp.flow_mods) == 2
-    assert resp.packets[0].port == topo.datacenters[0].port
+    assert resp.packets == [PacketOut(cl.switch, TABLE, pkt)]
+    forward = next(m for m in resp.flow_mods if m.match_src is not None)
+    assert forward.actions[-1] == ("output", topo.datacenters[0].port)
 
 
 def test_request_no_path_rolls_back_assignment():

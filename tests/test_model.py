@@ -188,6 +188,11 @@ HOSTILE_TOPOLOGY_VALUES = {
     "client_name_list": (set_name("clients", 0, ["c_a"]), "clients[0].name"),
     "client_name_with_tab": (set_name("clients", 0, "c\ta"), "clients[0].name"),
     "client_name_twice": (lambda d: d["clients"].append({"name": "c_a", "switch": "right", "port": 5}), "clients[1].name"),
+    # pinned addresses
+    "datacenter_ip_short": (lambda d: d["datacenters"][0].__setitem__("ip", "10.1.2"), "datacenters[0].ip"),
+    "datacenter_ip_number": (lambda d: d["datacenters"][1].__setitem__("ip", 7), "datacenters[1].ip"),
+    "client_mac_bad_octet": (lambda d: d["clients"][0].__setitem__("mac", "02:00:00:00:00:zz"), "clients[0].mac"),
+    "client_mac_short": (lambda d: d["clients"][0].__setitem__("mac", "02:00:00"), "clients[0].mac"),
 }
 
 

@@ -301,6 +301,33 @@ def test_inline_scenario_fast_path():
     assert len(responses) == 1
 
 
+@pytest.mark.parametrize("hops", [1, 3])
+def test_first_packet_reaches_the_datacenter_rewritten(hops):
+    # the controller sends a placed request back through the first hop's
+    # table, whose new rule rewrites it to the data center's addresses
+    switches = ["s%d" % i for i in range(hops)]
+    scen = tiny_scenario(topology={
+        "switches": switches,
+        "links": [{"a": a, "a_port": 9, "b": b, "b_port": 8} for a, b in zip(switches, switches[1:])],
+        "datacenters": [{"name": "dc", "switch": switches[-1], "port": 1}],
+        "clients": [{"name": "cl", "switch": switches[0], "port": 2}],
+    })
+    received = []
+
+    class Recording(Simulation):
+        def _dc_rx(self, now, node, packet):
+            received.append(packet)
+            super()._dc_rx(now, node, packet)
+
+    with mock.patch.object(netsim, "Simulation", Recording):
+        rep = run_scenario(scen, seed=0)
+    dc = rep.controller.dcs[0]
+    first = next(p for p in received if p.kind == "request")
+    assert (first.eth_dst, first.ip_dst, first.payload["flow_id"]) == (dc.mac, dc.ip, "t1")
+    assert rep.deliveries == [("t1", 0, 2.0)]
+    assert [(p.eth_dst, p.ip_dst) for p in received if p.kind == "data"] == [(dc.mac, dc.ip)] * 2
+
+
 def test_finished_simulation_is_freed_without_the_collector():
     # a reference cycle would keep the simulation, its tables and its trace
     # alive until the collector runs
@@ -449,9 +476,13 @@ HOSTILE = {
     "flow_id_empty": (set_id(""), "clients[0].flows[0].id"),
     "flow_id_with_space": (set_id("a b"), "clients[0].flows[0].id"),
     "flow_id_with_newline": (set_id("a\nt=0.000"), "clients[0].flows[0].id"),
-    # so is a data-center or client name of an inline topology; its paths start at the topology
-    "dc_name_with_space": (lambda s: s["topology"]["datacenters"][0].__setitem__("name", "d c"), "datacenters[0].name"),
-    "client_name_empty": (lambda s: s["topology"]["clients"][0].__setitem__("name", ""), "clients[0].name"),
+    # so is a data-center or client name of an inline topology, whose paths start at `topology`
+    "dc_name_with_space": (
+        lambda s: s["topology"]["datacenters"][0].__setitem__("name", "d c"), "topology.datacenters[0].name"),
+    "client_name_empty": (lambda s: s["topology"]["clients"][0].__setitem__("name", ""), "topology.clients[0].name"),
+    "inline_topology_not_object": (lambda s: s.__setitem__("topology", 7), "topology"),
+    "inline_config_panel": (lambda s: s["config"].__setitem__("panel", {"area_m2": -1}), "config.panel.area_m2"),
+    "inline_config_unknown_key": (lambda s: s["config"].__setitem__("flow_idle_timout", 2.0), "config"),
     # keys the format does not read, misspelled or beside the ones in use
     "unknown_top_level_key": (lambda s: s.__setitem__("horizn", 12.0), "scenario"),
     "unknown_agent_key": (lambda s: s["agents"][0].__setitem__("repsond", True), "agents[0]"),
@@ -493,6 +524,20 @@ def test_scenario_rejects_hostile_input(mutate, field, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: %s: " % field)
 
 
+def test_referenced_files_keep_their_own_paths(tmp_path):
+    topology = tiny_scenario()["topology"]
+    topology["clients"][0]["name"] = ""
+    (tmp_path / "topo.json").write_text(json.dumps(topology))
+    (tmp_path / "config.json").write_text(json.dumps({"panel": {"area_m2": -1}}))
+    for scen, field in [
+        (tiny_scenario(topology="topo.json"), "clients[0].name"),
+        (tiny_scenario(config="config.json"), "panel.area_m2"),
+    ]:
+        with pytest.raises(ValidationError) as err:
+            load_scenario(scen, base_dir=str(tmp_path))
+        assert err.value.field == field
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -512,7 +557,7 @@ def test_scenario_errors_name_the_key_or_id(mutate, message):
 
 
 def test_horizon_of_one_profile_year_loads():
-    assert load_scenario(tiny_scenario(horizon=8760 * 3600.0))[-1] == 8760 * 3600.0
+    assert load_scenario(tiny_scenario(horizon=8760 * 3600.0)).horizon == 8760 * 3600.0
 
 
 def test_report_period_too_small_to_move_the_clock_fails_at_once(tmp_path, capsys):
@@ -799,12 +844,34 @@ def test_rate_flows_stop_at_the_horizon():
     scen = tiny_scenario(horizon=1.0)
     scen["clients"] = [{"client": "cl", "rate_per_hour": 100000, "hours": [0, 5, 9], "data_packets": 3}]
     start = time.perf_counter()
-    flows = load_scenario(scen)[3]
+    events = load_scenario(scen).events
     rep = run_scenario(scen, seed=0)
     assert time.perf_counter() - start < 0.5
-    assert len(flows) == 27  # (i + 1) * 3600 / 100001 < 1 for i < 27
-    assert all(f.open_at < 1.0 and all(t < 1.0 for t in f.data_at) for f in flows)
-    assert {f for f, _, _ in rep.deliveries} <= {f.flow_id for f in flows}
+    opens = [(t, flow[1]) for t, kind, flow in events if kind == "flow_open"]
+    assert len(opens) == 27  # (i + 1) * 3600 / 100001 < 1 for i < 27
+    assert all(t < 1.0 for t, kind, _ in events if kind.startswith("flow_"))
+    assert {f for f, _, _ in rep.deliveries} <= {flow_id for _, flow_id in opens}
     # the flows that do start are the ones an unbounded horizon starts first
-    longer = load_scenario(dict(scen, horizon=3600.0))[3]
-    assert [(f.flow_id, f.open_at) for f in flows] == [(f.flow_id, f.open_at) for f in longer[:27]]
+    longer = load_scenario(dict(scen, horizon=3600.0)).events
+    assert opens == [(t, flow[1]) for t, kind, flow in longer if kind == "flow_open"][:27]
+
+
+def test_scenario_loads_as_its_events_in_schedule_order():
+    scen = tiny_scenario(snapshot_times=[9.0, 1.0], switch_connects=[{"switch": "s", "at": 0.0}])
+    scen["clients"].append({"client": "cl", "rate_per_hour": 1, "hours": [0], "data_packets": 1})
+    topology, config, horizon, events = load_scenario(dict(scen, horizon=3600.0))
+    dc, cl = topology.datacenters[0].node, topology.clients[0].node
+    (register_at, kind, script), = [e for e in events if e[1] == "agent_register"]
+    assert (register_at, kind, script.node, script.respond) == (0.5, "agent_register", dc, True)
+    assert script.profile.wh[0] == 4.0
+    assert [e for e in events if e[1] != "agent_register"] == [
+        (1.0, "snapshot", None),
+        (9.0, "snapshot", None),
+        (0.0, "connect", NodeId(SWITCH, 0)),
+        (2.0, "flow_open", (cl, "t1")),
+        (2.3, "flow_data", (cl, "t1")),
+        (2.6, "flow_data", (cl, "t1")),
+        (1800.0, "flow_open", (cl, "cl-h0-0")),
+        (1800.25, "flow_data", (cl, "cl-h0-0")),
+    ]
+    assert [e[1] for e in events].index("agent_register") == 3
