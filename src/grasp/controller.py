@@ -18,13 +18,11 @@ from typing import NamedTuple
 
 from .energy import valid_energy
 from .errors import AlreadyConnected, NoPath, UnknownSwitch
-from .model import DataCenterRecord, NodeId, format_ip, parse_ip
+# SERVICE_IP is re-exported for netsim and the tests
+from .model import CONTROLLER_IP, SERVICE_IP, DataCenterRecord, NodeId, format_ip
 from .scheduler import SchedulerState, get_scheduler, reset_hour
 
 BROADCAST_MAC = 0xFFFFFFFFFFFF
-CONTROLLER_IP = parse_ip("10.255.0.1")
-# clients address their requests here; flow rules rewrite it per decision
-SERVICE_IP = parse_ip("10.255.0.100")
 
 TABLE_MISS_PRIORITY = 0
 FLOW_PRIORITY = 10

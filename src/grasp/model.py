@@ -57,6 +57,11 @@ def parse_ip(text):
     return (int(parts[0]) << 24) | (int(parts[1]) << 16) | (int(parts[2]) << 8) | int(parts[3])
 
 
+CONTROLLER_IP = parse_ip("10.255.0.1")
+# clients address their requests here; flow rules rewrite it per decision
+SERVICE_IP = parse_ip("10.255.0.100")
+
+
 def parse_mac(text):
     parts = text.split(":") if isinstance(text, str) else []
     if len(parts) != 6:
@@ -283,6 +288,7 @@ def topology_from_dict(data):
             if "ip" in raw or "mac" in raw:
                 auto = auto_address(node)
                 ip = pin(parse_ip, raw, "ip", where) if "ip" in raw else auto.ip
+                _require(ip not in (SERVICE_IP, CONTROLLER_IP), f"{where}.ip", f"{format_ip(ip)} is reserved")
                 mac = pin(parse_mac, raw, "mac", where) if "mac" in raw else auto.mac
                 pinned[node] = Address(ip=ip, mac=mac)
             out.append(Attachment(node=node, name=name, switch=switch, port=port))

@@ -230,7 +230,6 @@ class SimReport:
 class Simulation:
     def __init__(self, topology, config, seed=0, emit=None):
         self.topology = topology
-        self.config = config
         self.emit = emit  # takes each trace line as it happens; None formats no line
         self.controller = Controller(config, seed=seed, emit=emit)
         # by switch index, so the per-packet path hashes no NodeId
@@ -281,9 +280,8 @@ class Simulation:
     # -- event handlers ----------------------------------------------------
 
     def _connect(self, now, switch):
-        ports = sorted(self._ports[switch.index])
         mac = self.topology.addresses[switch].mac
-        resp = self.controller.on_switch_connect(switch, ports, mac, now=now)
+        resp = self.controller.on_switch_connect(switch, self._ports[switch.index], mac, now=now)
         self._apply(resp, now)
 
     def _apply(self, resp, now):
@@ -614,8 +612,11 @@ def load_scenario(source, base_dir=None):
         switch = _keys(c, ("switch", "at"), where, required=("switch",))["switch"]
         if switch not in topology.switch_names:
             raise ValidationError(f"{where}.switch", f"unknown switch {switch!r}")
+        node = topology.switch_id(switch)
+        if any(node == connected for _, _, connected in connects):
+            raise ValidationError(f"{where}.switch", f"switch {switch!r} connects twice")
         at = _number(c.get("at", 0.0), f"{where}.at", minimum=0.0)
-        connects.append((at, "connect", topology.switch_id(switch)))
+        connects.append((at, "connect", node))
 
     times = _list(data.get("snapshot_times", []), "snapshot_times")
     snapshots = [(t, "snapshot", None) for t in sorted(_number(t, "snapshot_times", minimum=0.0) for t in times)]

@@ -12,7 +12,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -192,6 +191,12 @@ def test_criterion_7_idle_timeout_from_trace():
     )
 
 
+def hourly_deliveries(rep, hours):
+    """A protocol run's deliveries as an (hours, 9) array of per-hour, per-DC jobs."""
+    bins = [int(t // 3600.0) * 9 + dc_id for _, dc_id, t in rep.deliveries]
+    return np.bincount(bins, minlength=hours * 9).reshape(hours, 9)
+
+
 def hourly_loads(site_profiles, sched, hours, **config):
     """Per-hour, per-DC jobs of the bundled 24 h scenario's workload, run
     for `hours` under `sched` with `config` overrides: those protocol mode
@@ -200,25 +205,16 @@ def hourly_loads(site_profiles, sched, hours, **config):
     scen["config"].update(config, scheduler=sched)
     scen["horizon"] = hours * 3600.0
     rep = run_scenario(scen, base_dir=data_path(), seed=0)
-    hourly = np.zeros((hours, 9), dtype=np.int64)
-    for _, dc_id, t in rep.deliveries:
-        hourly[int(t // 3600.0), dc_id] += 1
-    return hourly, run_year(site_profiles, sched, 1.0, 12, hours=hours).per_dc_load
-
-
-def protocol_matches_fast(site_profiles, hours, report_period):
-    """Per policy, whether protocol mode delivers the same per-hour, per-DC
-    jobs that fast mode places."""
-    return {
-        sched: np.array_equal(*hourly_loads(site_profiles, sched, hours, report_period=report_period))
-        for sched in ("green_aware", "round_robin")
-    }
+    return hourly_deliveries(rep, hours), run_year(site_profiles, sched, 1.0, 12, hours=hours).per_dc_load
 
 
 def test_criterion_8_protocol_fast_cross_check(site_profiles):
     # the bundled 24 h scenario's workload, run for a week
     hours = 168
-    results = protocol_matches_fast(site_profiles, hours, 60.0)
+    results = {
+        sched: np.array_equal(*hourly_loads(site_profiles, sched, hours, report_period=60.0))
+        for sched in ("green_aware", "round_robin")
+    }
     check(
         results["green_aware"] and results["round_robin"],
         "criterion 8: %d h protocol run and fast mode place identical per-DC "
@@ -226,17 +222,51 @@ def test_criterion_8_protocol_fast_cross_check(site_profiles):
     )
 
 
-@pytest.mark.slow
+# A sink-less year of the 24 h demo's workload under policy argv[1], energy
+# reported hourly, in an interpreter free of pytest and hypothesis.  It prints
+# its per-hour, per-DC deliveries, then its peak RSS in KiB: VmHWM, as Linux's
+# ru_maxrss keeps the peak of the process that started it across exec.
+YEAR_CHILD = """
+import resource, sys
+import numpy as np
+from grasp.datafiles import data_path
+from grasp.model import read_json
+from grasp.netsim import run_scenario
+scen = read_json(data_path("scenario_geni_24h.json"))
+scen["config"].update(scheduler=sys.argv[1], report_period=3600.0)
+scen["horizon"] = 8760 * 3600.0
+rep = run_scenario(scen, base_dir=data_path(), seed=0)
+try:
+    with open("/proc/self/status") as fh:
+        peak_kib = int(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+except OSError:
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // (1024 if sys.platform == "darwin" else 1)
+print(*np.bincount([int(t // 3600.0) * 9 + dc for _, dc, t in rep.deliveries], minlength=8760 * 9))
+print(peak_kib)
+"""
+
+
 def test_criterion_8_year_protocol_fast_cross_check(site_profiles):
-    # the same workload for a whole year, energy reported hourly
-    hours = 8760
-    start = time.perf_counter()
-    results = protocol_matches_fast(site_profiles, hours, 3600.0)
+    # each policy's year runs in its own child while this process runs fast mode
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(grasp.__file__)))
+    children = {
+        sched: subprocess.Popen([sys.executable, "-c", YEAR_CHILD, sched], env=env, text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for sched in ("green_aware", "round_robin")
+    }
+    fast = {sched: run_year(site_profiles, sched, 1.0, 12, hours=8760).per_dc_load for sched in children}
+    outputs = {sched: child.communicate(timeout=600) for sched, child in children.items()}
+    results = {}
+    for sched, (out, err) in outputs.items():
+        assert children[sched].returncode == 0, err
+        loads, peak_kib = out.splitlines()
+        same = np.array_equal(np.array(loads.split(), dtype=np.int64).reshape(8760, 9), fast[sched])
+        results[sched] = (same, int(peak_kib) / 1024)
     check(
-        results["green_aware"] and results["round_robin"],
-        "criterion 8: %d h protocol run and fast mode place identical per-DC loads "
-        "(green %s, round robin %s, %.1f s)"
-        % (hours, results["green_aware"], results["round_robin"], time.perf_counter() - start),
+        all(same and peak_mb < 90.0 for same, peak_mb in results.values()),
+        "criterion 8: 8760 h protocol runs without a trace sink place fast mode's per-DC loads, "
+        "under 90 MB (green %s at %.1f MB, round robin %s at %.1f MB)"
+        % (*results["green_aware"], *results["round_robin"]),
     )
 
 
@@ -290,10 +320,7 @@ def test_criterion_8_modes_agree_on_generated_workloads(site_profiles, workload)
     scen["config"].update(config)
     scen["horizon"] = hours * 3600.0
     scen["clients"] = clients
-    rep = run_scenario(scen, base_dir=data_path(), seed=0)
-    protocol = np.zeros((hours, 9), dtype=np.int64)
-    for _, dc_id, t in rep.deliveries:
-        protocol[int(t // 3600.0), dc_id] += 1
+    protocol = hourly_deliveries(run_scenario(scen, base_dir=data_path(), seed=0), hours)
 
     # fast mode places a fixed number of jobs an hour, so each hour is its own
     # run; round robin's cursor carries over every job placed before the hour,
@@ -309,41 +336,6 @@ def test_criterion_8_modes_agree_on_generated_workloads(site_profiles, workload)
             fast[h] = np.roll(run_year(site_profiles, sched, k, jobs, hours=1).per_dc_load[0], placed)
         placed += jobs
     assert protocol.tolist() == fast.tolist()
-
-
-# A year of the 24 h demo's workload in a fresh interpreter; it prints its
-# deliveries and its peak RSS in KiB.  Linux's ru_maxrss keeps the peak of
-# the process that started it across exec, so there the child reads its own
-# high-water mark, VmHWM.
-YEAR_CHILD = """
-import resource, sys
-from grasp.datafiles import data_path
-from grasp.model import read_json
-from grasp.netsim import run_scenario
-scen = read_json(data_path("scenario_geni_24h.json"))
-scen["config"]["report_period"] = 3600.0
-scen["horizon"] = 8760 * 3600.0
-rep = run_scenario(scen, base_dir=data_path(), seed=0)
-try:
-    with open("/proc/self/status") as fh:
-        peak_kib = int(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
-except OSError:
-    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // (1024 if sys.platform == "darwin" else 1)
-print(len(rep.deliveries), peak_kib)
-"""
-
-
-@pytest.mark.slow
-def test_protocol_year_without_a_sink_stays_small():
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(grasp.__file__)))
-    done = subprocess.run([sys.executable, "-c", YEAR_CHILD], capture_output=True, text=True, env=env, timeout=600)
-    assert done.returncode == 0, done.stderr
-    deliveries, peak_kib = (int(v) for v in done.stdout.split())
-    peak_mb = peak_kib / 1024
-    check(
-        deliveries == 8760 * 12 and peak_mb < 90.0,
-        "memory: a protocol-mode year without a trace sink peaks at %.1f MB (%d deliveries)" % (peak_mb, deliveries),
-    )
 
 
 def test_criterion_9_seeded_runs_are_byte_identical(tmp_path):

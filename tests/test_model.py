@@ -193,6 +193,9 @@ HOSTILE_TOPOLOGY_VALUES = {
     "datacenter_ip_number": (lambda d: d["datacenters"][1].__setitem__("ip", 7), "datacenters[1].ip"),
     "client_mac_bad_octet": (lambda d: d["clients"][0].__setitem__("mac", "02:00:00:00:00:zz"), "clients[0].mac"),
     "client_mac_short": (lambda d: d["clients"][0].__setitem__("mac", "02:00:00"), "clients[0].mac"),
+    # the controller's own addresses: a client pinned to SERVICE_IP would take every request
+    "datacenter_ip_controller": (lambda d: d["datacenters"][0].__setitem__("ip", "10.255.0.1"), "datacenters[0].ip"),
+    "client_ip_service": (lambda d: d["clients"][0].__setitem__("ip", "10.255.0.100"), "clients[0].ip"),
 }
 
 

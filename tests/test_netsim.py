@@ -454,6 +454,9 @@ HOSTILE = {
     "connect_at_string": (lambda s: s.__setitem__("switch_connects", [{"switch": "s", "at": "x"}]), "switch_connects[0].at"),
     "connect_at_inf": (lambda s: s.__setitem__("switch_connects", [{"switch": "s", "at": INF}]), "switch_connects[0].at"),
     "connect_not_object": (lambda s: s.__setitem__("switch_connects", ["s"]), "switch_connects[0]"),
+    # the controller would refuse the second connect only mid-run, naming no JSON path
+    "connect_twice": (
+        lambda s: s.__setitem__("switch_connects", [{"switch": "s"}, {"switch": "s", "at": 1}]), "switch_connects[1].switch"),
     "register_at_nan": (lambda s: s["agents"][0].__setitem__("register_at", NAN), "agents[0].register_at"),
     "register_at_huge_int": (lambda s: s["agents"][0].__setitem__("register_at", 10**400), "agents[0].register_at"),
     "horizon_inf": (lambda s: s.__setitem__("horizon", INF), "horizon"),
