@@ -9,10 +9,11 @@ scheduling policy picks, installing forward and reverse flow rules along
 the shortest discovered path.
 """
 
+import functools
+import math
 import random
 from collections import deque
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -82,15 +83,21 @@ class PacketOut(NamedTuple):
 TABLE = None  # OpenFlow's OFPP_TABLE: a packet-out through the flow table
 
 
-@dataclass
-class ControllerResponse:
-    """Everything one event handler wants done on the data plane."""
+class ControllerResponse(NamedTuple):
+    """Everything one event handler wants done on the data plane.
 
-    flow_mods: list = field(default_factory=list)
-    packets: list = field(default_factory=list)
+    Immutable, with empty tuples for defaults, so `ACCEPTED` is the one
+    response to every accepted report and discover."""
+
+    flow_mods: Sequence = ()
+    packets: Sequence = ()
     dropped: str = None
 
 
+ACCEPTED = ControllerResponse()
+
+
+@functools.lru_cache(maxsize=4096)  # a match's text is made once, not per expire or dump
 def match_text(src, dst):
     left = format_ip(src) if src is not None else "*"
     right = format_ip(dst) if dst is not None else "*"
@@ -159,7 +166,7 @@ class Controller:
                         ),
                     )
                 )
-        return ControllerResponse(flow_mods=[miss], packets=outs)
+        return ControllerResponse(flow_mods=(miss,), packets=outs)
 
     def on_hour(self, hour, now=0.0):
         """Hour boundary: jobs of the old hour are done, counters restart."""
@@ -179,12 +186,12 @@ class Controller:
                 "t=%.3f ev=packet_in sw=%s port=%d kind=%s src=%s"
                 % (now, pkt_in.switch, pkt_in.port, pkt.kind, format_ip(pkt.ip_src))
             )
+        if pkt.kind == "report":  # the most frequent kind first
+            return self._handle_report(pkt_in, now)
         if pkt.kind == "discover":
             return self._handle_discover(pkt_in, now)
         if pkt.kind == "register":
             return self._handle_register(pkt_in, now)
-        if pkt.kind == "report":
-            return self._handle_report(pkt_in, now)
         # anything else is client traffic asking for a placement
         return self._handle_request(pkt_in, now)
 
@@ -206,7 +213,7 @@ class Controller:
         self.adjacency[(pkt_in.switch, origin)] = pkt_in.port
         if self.emit is not None:
             self.emit("t=%.3f ev=adjacency sw=%s neighbor=%s port=%d" % (now, pkt_in.switch, origin, pkt_in.port))
-        return ControllerResponse()
+        return ACCEPTED
 
     def _handle_register(self, pkt_in, now):
         pkt = pkt_in.packet
@@ -248,7 +255,7 @@ class Controller:
                 "report_period": self.config.report_period,
             },
         )
-        return ControllerResponse(packets=[PacketOut(pkt_in.switch, pkt_in.port, ack)])
+        return ControllerResponse(packets=(PacketOut(pkt_in.switch, pkt_in.port, ack),))
 
     def _handle_report(self, pkt_in, now):
         pkt = pkt_in.packet
@@ -264,14 +271,16 @@ class Controller:
                 self.emit("t=%.3f ev=auth_fail reason=bad_passcode dc=d%d" % (now, rec.dc_id))
             return ControllerResponse(dropped="bad_passcode")
         energy = pkt.payload.get(GREEN_ENERGY_PARAM)
-        if not valid_energy(energy):
-            if self.emit is not None:
-                self.emit("t=%.3f ev=drop reason=bad_report dc=d%d" % (now, rec.dc_id))
-            return ControllerResponse(dropped="bad_report")
-        self.sched.energy_wh[rec.dc_id] = float(energy)
+        if type(energy) is not float or not 0.0 <= energy < math.inf:  # the agents' plain float, checked inline
+            if not valid_energy(energy):
+                if self.emit is not None:
+                    self.emit("t=%.3f ev=drop reason=bad_report dc=d%d" % (now, rec.dc_id))
+                return ControllerResponse(dropped="bad_report")
+            energy = float(energy)
+        self.sched.energy_wh[rec.dc_id] = energy
         if self.emit is not None:
             self.emit("t=%.3f ev=report dc=d%d green_energy_wh=%.6f" % (now, rec.dc_id, energy))
-        return ControllerResponse()
+        return ACCEPTED
 
     def _handle_request(self, pkt_in, now):
         pkt = pkt_in.packet

@@ -6,6 +6,7 @@ ports; every node gets a deterministic IP/MAC pair unless the file pins
 one explicitly.
 """
 
+import functools
 import json
 import math
 import numbers
@@ -34,6 +35,7 @@ class NodeId(NamedTuple):
     kind: str
     index: int
 
+    @functools.lru_cache(maxsize=4096)  # made once per node, not per trace line
     def __str__(self):
         return f"{_KIND_PREFIX[self.kind]}{self.index}"
 
@@ -46,6 +48,7 @@ class Address:
     mac: int
 
 
+@functools.lru_cache(maxsize=4096)
 def format_ip(ip):
     return "%d.%d.%d.%d" % ((ip >> 24) & 255, (ip >> 16) & 255, (ip >> 8) & 255, ip & 255)
 

@@ -6,9 +6,10 @@ scenario with the same seed replays byte-identically.  Events wait on one
 heap, except those scheduled for the instant being handled (the
 zero-latency hops): they join a first-in, first-out queue, which the loop
 drains after the heap's entries of that instant.  A flow table is indexed
-by (priority, match), so a lookup probes at most four keys per priority,
-and it keeps per idle timeout a lower bound on its rules' last hits, so a
-lookup scans for expired rules only when one can be due.
+by (priority, match), so a lookup probes one key per match shape (which
+of src and dst a rule matches on) ever installed at a priority, at most
+four, and it keeps per idle timeout a lower bound on its rules' last
+hits, so a lookup scans for expired rules only when one can be due.
 
 The timer ticks only at whole simulated seconds with work: a flow table due
 to expire a rule, or an hour boundary.  Each is an entry on the same heap,
@@ -28,8 +29,11 @@ resolved to its node, and running it schedules those events as they are.
 Time 0 is midnight of hour 0, and the horizon is at most one profile year.
 An agent reports its energy first one `report_period` after its
 registration is acknowledged, so until then the controller scores every
-data center 0; a period too small to move the clock past a report's time
-is a ValidationError of `report_period`.
+data center 0.  A scenario asks for at most MAX_EVENTS flows, data
+packets and reports, counted from its JSON before any event is built, so a
+period too small to move the clock past a report's time is a
+ValidationError of `report_period` at load, and still at run time in a
+Simulation built by hand.
 """
 
 import heapq
@@ -68,6 +72,9 @@ SECONDS_PER_HOUR = 3600.0
 LAST_TICK = 2**53  # past here whole seconds are no longer exact floats
 MAX_HORIZON = HOURS_PER_YEAR * SECONDS_PER_HOUR  # one profile year
 SCENARIO_KEYS = {"topology", "config", "horizon", "agents", "clients", "switch_connects", "snapshot_times"}
+# the most flows, data packets and energy reports one scenario may ask for:
+# a year of the 24 h demo with its 60 s reports is about 4.8 million
+MAX_EVENTS = 5_000_000
 
 
 def idle_deadline(last_hit, timeout, horizon):
@@ -115,7 +122,10 @@ class FlowRule:
 
 class FlowTable:
     """One switch's rules, keyed by (priority, match_src, match_dst) in
-    install order, so a lookup probes at most four keys per priority.
+    install order.  `priorities` pairs every priority ever installed with
+    the match shapes ever installed at it, (src matched, dst matched), so a
+    lookup probes one key per shape: three for an agent's report on a
+    switch with a client's forward and reverse rules, not eight.
 
     Expired entries are removed before any lookup, each with an `ev=expire`
     line to `emit`, if any.  `oldest` holds, per idle timeout, a lower bound
@@ -129,7 +139,8 @@ class FlowTable:
         self.switch = switch
         self.emit = emit
         self.rules = {}
-        self.priorities = ()  # every priority ever installed, highest first
+        self.shapes = {}  # priority -> match shapes ever installed at it
+        self.priorities = ()  # (priority, its shapes), highest priority first
         self.oldest = {}  # idle timeout -> lower bound on its rules' last_hit
         self._installs = itertools.count()
 
@@ -141,8 +152,11 @@ class FlowTable:
         self.rules[key] = FlowRule(
             mod.priority, mod.match_src, mod.match_dst, mod.actions, mod.idle_timeout, now, next(self._installs)
         )
-        if mod.priority not in self.priorities:
-            self.priorities = tuple(sorted((*self.priorities, mod.priority), reverse=True))
+        shape = (mod.match_src is not None, mod.match_dst is not None)
+        shapes = self.shapes.get(mod.priority, ())
+        if shape not in shapes:
+            self.shapes[mod.priority] = (*shapes, shape)
+            self.priorities = tuple(sorted(self.shapes.items(), reverse=True))
         timeout = mod.idle_timeout
         if timeout > 0 and now < self.oldest.get(timeout, math.inf):
             self.oldest[timeout] = now
@@ -174,10 +188,10 @@ class FlowTable:
         """Best live match: highest priority, earliest installed on ties."""
         self.expire(now)
         rules, src, dst = self.rules, packet.ip_src, packet.ip_dst
-        for p in self.priorities:
+        for p, shapes in self.priorities:
             best = None
-            for key in ((p, src, dst), (p, src, None), (p, None, dst), (p, None, None)):
-                rule = rules.get(key)
+            for on_src, on_dst in shapes:
+                rule = rules.get((p, src if on_src else None, dst if on_dst else None))
                 if rule is not None and (best is None or rule.installed < best.installed):
                     best = rule
             if best is not None:
@@ -285,6 +299,8 @@ class Simulation:
         self._apply(resp, now)
 
     def _apply(self, resp, now):
+        if not (resp.flow_mods or resp.packets):  # an accepted report, say, or a drop
+            return
         ticks = {}  # idle timeout -> deadline of a rule installed `now`, shared by the response's mods
         for mod in resp.flow_mods:
             i = mod.switch.index
@@ -334,15 +350,18 @@ class Simulation:
             return
         if rule.actions[-1][0] == "controller":
             pkt_in = PacketIn(switch=switch, port=in_port, packet=packet)
-            resp = self.controller.on_packet_in(pkt_in, now=now)
+            resp = self.controller.on_packet_in(pkt_in, now)
             self._apply(resp, now)
             return
+        eth_dst, ip_dst = packet.eth_dst, packet.ip_dst  # a first hop's rewrite, one packet at its output
         for action in rule.actions:
             if action[0] == "set_eth_dst":
-                packet = Packet(packet.kind, packet.eth_src, action[1], packet.ip_src, packet.ip_dst, packet.payload)
+                eth_dst = action[1]
             elif action[0] == "set_ip_dst":
-                packet = Packet(packet.kind, packet.eth_src, packet.eth_dst, packet.ip_src, action[1], packet.payload)
+                ip_dst = action[1]
             elif action[0] == "output":
+                if eth_dst != packet.eth_dst or ip_dst != packet.ip_dst:
+                    packet = Packet(packet.kind, packet.eth_src, eth_dst, packet.ip_src, ip_dst, packet.payload)
                 peer = self._ports[switch.index].get(action[1])
                 if peer is None:
                     if self.emit is not None:
@@ -380,8 +399,8 @@ class Simulation:
         agent = self._agents[node]
         if agent["dc_id"] is None:
             return
-        hour = int(now // SECONDS_PER_HOUR) % len(agent["script"].profile.wh)
-        energy = float(agent["script"].profile.wh[hour])
+        wh = agent["script"].profile.wh
+        energy = wh.item(int(now // SECONDS_PER_HOUR) % len(wh))  # a Python float, no numpy scalar
         self._emit_from_host(now, node, "report", {"passcode": agent["passcode"], GREEN_ENERGY_PARAM: energy})
         self._schedule_report(now, node, agent["period"])
 
@@ -503,6 +522,36 @@ def _resolve_profile(spec, base_dir, config, where):
     return _within(where, synth_profile, spec["shape"], spec.get("peak_wh", 0.0))
 
 
+def _check_work(data, horizon, report_period):
+    """Refuse a scenario that asks for more than MAX_EVENTS events, counted
+    from its JSON before any is built: ceil(horizon / report_period)
+    reports per agent, then each client entry's flows and data packets, a
+    rate workload's as rate_per_hour x hours x (1 + data_packets).  The
+    ValidationError names the entry that crosses the cap, `report_period`
+    for the reports."""
+    total = 0
+
+    def spend(events, where):
+        nonlocal total
+        total += events
+        if total > MAX_EVENTS:
+            raise ValidationError(where, f"asks for more than MAX_EVENTS = {MAX_EVENTS:,} flows, data packets and reports")
+
+    agents = len(_list(data.get("agents", []), "agents"))
+    if agents:  # the quotient can be inf, which ceil cannot take
+        spend(agents * math.ceil(min(horizon / report_period, MAX_EVENTS + 1)), "report_period")
+    for i, raw in enumerate(_list(data.get("clients", []), "clients")):
+        where = f"clients[{i}]"
+        if "flows" in _object(raw, where):
+            for j, f in enumerate(_list(raw["flows"], f"{where}.flows")):
+                at = f"{where}.flows[{j}]"
+                spend(1 + len(_list(_object(f, at).get("data_at", ()), at + ".data_at")), at)
+        elif "rate_per_hour" in raw:
+            rate = _count(raw["rate_per_hour"], f"{where}.rate_per_hour")
+            hours = len(_list(raw["hours"], f"{where}.hours")) if "hours" in raw else int(horizon // SECONDS_PER_HOUR)
+            spend(rate * hours * (1 + _count(raw.get("data_packets", 0), f"{where}.data_packets")), where)
+
+
 def load_scenario(source, base_dir=None):
     """Parse a scenario file (or dict) into a Scenario.
 
@@ -510,7 +559,8 @@ def load_scenario(source, base_dir=None):
     where the format has them, no key it does not read, every time a
     finite number >= 0 of seconds, counts non-negative integers, and every
     name or flow id a non-empty string with no whitespace, the flow ids
-    unique.  Anything else raises ValidationError naming its JSON path.
+    unique, and no more than MAX_EVENTS flows, data packets and reports.
+    Anything else raises ValidationError naming its JSON path.
 
     The events come in the order `run_scenario` schedules them, which
     orders those of one instant: snapshots by time, switch connects, agent
@@ -539,6 +589,7 @@ def load_scenario(source, base_dir=None):
     horizon = _number(data.get("horizon", SECONDS_PER_HOUR), "horizon")
     if not 0 < horizon <= MAX_HORIZON:
         raise ValidationError("horizon", f"must be positive and at most one profile year ({MAX_HORIZON:g} s), got {horizon!r}")
+    _check_work(data, horizon, config.report_period)
 
     dc_by_name = {a.name: a.node for a in topology.datacenters}
     registers = []

@@ -281,6 +281,24 @@ def test_report_updates_energy():
     assert controller.auth_failures == 0
 
 
+def test_accepted_reports_share_one_immutable_response():
+    topo = line_topology()
+    controller = make(topo)
+    passcode = register(controller, topo).packets[0].packet.payload["passcode"]
+    att = topo.datacenters[0]
+    first, second = (
+        controller.on_packet_in(PacketIn(att.switch, att.port, report_packet(topo, att.node, passcode, wh)))
+        for wh in (1.0, 2.0)
+    )
+    assert first is second
+    assert first == ((), (), None)
+    with pytest.raises(AttributeError):
+        first.dropped = "bad_report"
+    with pytest.raises(AttributeError):
+        first.flow_mods.append(None)
+    assert controller.sched.energy_wh == [2.0]
+
+
 def test_report_auth_failures():
     topo = line_topology()
     controller = make(topo)
@@ -380,7 +398,7 @@ def test_request_without_datacenters_is_dropped():
     cl, pkt = client_request(topo)
     resp = controller.on_packet_in(PacketIn(cl.switch, cl.port, pkt))
     assert resp.dropped == "no_datacenter"
-    assert resp.flow_mods == []
+    assert resp.flow_mods == ()
 
 
 def test_request_installs_path_and_rewrites():

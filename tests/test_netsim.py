@@ -168,6 +168,13 @@ def table_ops(draw):
 # a replaced rule expires after the rules installed before its replacement
 @example(ops=[("install", (10, 1, None), 0.3, 1, 0.0), ("install", (10, None, 1), 0.3, 1, 0.0),
               ("install", (10, 1, None), 0.3, 2, 0.0), ("expire", 4.0)])
+# a new match shape at a priority that lookups have already probed
+@example(ops=[("install", (10, 1, None), 2.0, 1, 0.0), ("lookup", 1, 2, 0.3), ("lookup", 3, 2, 0.3),
+              ("install", (10, None, 2), 2.0, 2, 0.3), ("lookup", 3, 2, 0.6), ("lookup", 1, 2, 0.6)])
+# every rule of one shape has expired, and lookups still probe that shape
+@example(ops=[("install", (10, 1, None), 0.3, 1, 0.0), ("install", (10, None, 2), 2.0, 2, 0.0),
+              ("install", (0, None, None), 0.0, 3, 0.0), ("lookup", 1, 2, 0.6), ("lookup", 1, 3, 0.6),
+              ("lookup", 1, 2, 4.3)])
 def test_indexed_flow_table_matches_list_scan(ops):
     lines = []
     table, oracle = FlowTable(SW, lines.append), ListFlowTable([])
@@ -502,6 +509,15 @@ HOSTILE = {
     # hour 0's one generated flow, cl-h0-0, opens at 1800 s
     "flow_id_twice": (lambda s: s["clients"][0]["flows"].append({"id": "t1", "open_at": 3.0}), "clients[0].flows[1].id"),
     "hours_entry_twice": (lambda s: (s.__setitem__("horizon", 3600.0), set_rate("hours", [0, 0])(s)), "clients[1].hours[1]"),
+    # the work cap, counted from the JSON before any event is built
+    "reports_over_the_cap": (lambda s: s["config"].__setitem__("report_period", 1e-6), "report_period"),
+    "rate_over_the_cap": (
+        lambda s: s["clients"].append({"client": "cl", "rate_per_hour": 2**52, "hours": [0]}), "clients[1]"),
+    "hours_over_the_cap": (
+        lambda s: s["clients"].append({"client": "cl", "rate_per_hour": 1000, "hours": [0] * 5001}), "clients[1]"),
+    "data_packets_over_the_cap": (set_rate("data_packets", 10**7), "clients[1]"),
+    "flow_after_reports_at_the_cap": (
+        lambda s: s["config"].__setitem__("report_period", 12.0 / (netsim.MAX_EVENTS - 1)), "clients[0].flows[0]"),
     "flow_id_of_a_generated_flow": (
         lambda s: (
             s.__setitem__("horizon", 3600.0),
@@ -557,6 +573,60 @@ def test_scenario_errors_name_the_key_or_id(mutate, message):
     mutate(scen)
     with pytest.raises(ValidationError, match=re.escape(message)):
         load_scenario(scen)
+
+
+WORKLOAD = st.one_of(
+    st.lists(st.integers(0, 3), max_size=4).map(lambda data: {"flows": data}),  # data packets per flow
+    st.fixed_dictionaries(
+        {"rate_per_hour": st.integers(0, 2**52) | st.integers(0, 4)},
+        optional={"hours": st.lists(st.integers(0, 3), unique=True, max_size=3),
+                  "data_packets": st.integers(0, 2**40) | st.integers(0, 2)},
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cap=st.integers(0, 40),
+    agent=st.booleans(),
+    horizon=st.sampled_from([12.0, 3600.0, 7200.5]),
+    period=st.floats(1e-300, 1e4) | st.sampled_from([1.0, 60.0, 3600.0]),
+    workloads=st.lists(WORKLOAD, max_size=3),
+)
+def test_work_cap_is_counted_before_any_event_is_built(cap, agent, horizon, period, workloads):
+    """Under a small cap, a scenario that loads asks for at most `cap`
+    flows, data packets and reports, and one that asks for more fails at
+    load, at once, naming the entry that crossed the cap."""
+    scen = tiny_scenario(horizon=horizon, config={"report_period": period})
+    if not agent:
+        scen["agents"] = []
+    scen["topology"]["clients"] = [{"name": "c%d" % i, "switch": "s", "port": 2 + i} for i in range(len(workloads))]
+    scen["clients"] = []
+    reports = math.ceil(horizon / period) if agent else 0
+    total, crossed = reports, reports > cap and "report_period"
+    for i, w in enumerate(workloads):
+        if "flows" in w:
+            flows = [{"id": "c%d-f%d" % (i, j), "open_at": 1.0, "data_at": [1.5] * n} for j, n in enumerate(w["flows"])]
+            scen["clients"].append({"client": "c%d" % i, "flows": flows})
+            for j, n in enumerate(w["flows"]):
+                total += 1 + n
+                crossed = crossed or (total > cap and "clients[%d].flows[%d]" % (i, j))
+        else:
+            scen["clients"].append({"client": "c%d" % i, **w})
+            hours = len(w["hours"]) if "hours" in w else int(horizon // 3600)
+            total += w["rate_per_hour"] * hours * (1 + w.get("data_packets", 0))
+            crossed = crossed or (total > cap and "clients[%d]" % i)
+    start = time.perf_counter()
+    with mock.patch.object(netsim, "MAX_EVENTS", cap):
+        if crossed:
+            with pytest.raises(ValidationError, match="MAX_EVENTS") as err:
+                load_scenario(scen)
+            assert err.value.field == crossed
+            assert time.perf_counter() - start < 1.0
+        else:
+            events = load_scenario(scen).events
+            flow_events = sum(kind in ("flow_open", "flow_data") for _, kind, _ in events)
+            assert flow_events + reports <= cap
 
 
 def test_horizon_of_one_profile_year_loads():
