@@ -128,24 +128,7 @@ class Topology:
     links: list
     datacenters: list
     clients: list
-    addresses: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.addresses:
-            for node in self.nodes():
-                self.addresses[node] = auto_address(node)
-
-    def nodes(self):
-        out = [NodeId(SWITCH, i) for i in range(len(self.switch_names))]
-        out += [a.node for a in self.datacenters]
-        out += [a.node for a in self.clients]
-        return out
-
-    def switch_id(self, name):
-        try:
-            return NodeId(SWITCH, self.switch_names.index(name))
-        except ValueError:
-            raise ValidationError("switch", f"unknown switch {name!r}") from None
+    addresses: dict
 
     def ports(self, switch):
         """Map port -> (peer node, peer port or None for hosts) on one switch."""
@@ -268,7 +251,7 @@ def topology_from_dict(data):
         _require(raw["a"] != raw["b"], where, "link endpoints must differ")
         links.append(Link(*plug(raw, "a", "a_port", where), *plug(raw, "b", "b_port", where)))
 
-    pinned = {}
+    addresses = {NodeId(SWITCH, i): auto_address(NodeId(SWITCH, i)) for i in range(len(names))}
 
     def pin(parse, raw, key, where):
         """A pinned address, parsed; a bad one names its JSON path."""
@@ -288,24 +271,22 @@ def topology_from_dict(data):
             seen.add(name)
             switch, port = plug(raw, "switch", "port", where)
             node = NodeId(kind, i)
+            address = auto_address(node)
             if "ip" in raw or "mac" in raw:
-                auto = auto_address(node)
-                ip = pin(parse_ip, raw, "ip", where) if "ip" in raw else auto.ip
+                ip = pin(parse_ip, raw, "ip", where) if "ip" in raw else address.ip
                 _require(ip not in (SERVICE_IP, CONTROLLER_IP), f"{where}.ip", f"{format_ip(ip)} is reserved")
-                mac = pin(parse_mac, raw, "mac", where) if "mac" in raw else auto.mac
-                pinned[node] = Address(ip=ip, mac=mac)
+                mac = pin(parse_mac, raw, "mac", where) if "mac" in raw else address.mac
+                address = Address(ip=ip, mac=mac)
+            addresses[node] = address
             out.append(Attachment(node=node, name=name, switch=switch, port=port))
         return out
 
     datacenters = read_attachments("datacenters", DATACENTER)
     clients = read_attachments("clients", CLIENT)
 
-    topo = Topology(switch_names=names, links=links, datacenters=datacenters, clients=clients)
-    topo.addresses.update(pinned)
-
-    ips = [a.ip for a in topo.addresses.values()]
+    ips = [a.ip for a in addresses.values()]
     _require(len(set(ips)) == len(ips), "addresses", "duplicate IP address")
-    return topo
+    return Topology(names, links, datacenters, clients, addresses)
 
 
 def read_json(path):

@@ -30,9 +30,9 @@ Time 0 is midnight of hour 0, and the horizon is at most one profile year.
 An agent reports its energy first one `report_period` after its
 registration is acknowledged, so until then the controller scores every
 data center 0.  A scenario asks for at most MAX_EVENTS flows, data
-packets and reports, counted from its JSON before any event is built, so a
-period too small to move the clock past a report's time is a
-ValidationError of `report_period` at load, and still at run time in a
+packets and reports, each entry counted as it is read, before its events
+are built, so a period too small to move the clock past a report's time is
+a ValidationError of `report_period` at load, and still at run time in a
 Simulation built by hand.
 """
 
@@ -522,36 +522,6 @@ def _resolve_profile(spec, base_dir, config, where):
     return _within(where, synth_profile, spec["shape"], spec.get("peak_wh", 0.0))
 
 
-def _check_work(data, horizon, report_period):
-    """Refuse a scenario that asks for more than MAX_EVENTS events, counted
-    from its JSON before any is built: ceil(horizon / report_period)
-    reports per agent, then each client entry's flows and data packets, a
-    rate workload's as rate_per_hour x hours x (1 + data_packets).  The
-    ValidationError names the entry that crosses the cap, `report_period`
-    for the reports."""
-    total = 0
-
-    def spend(events, where):
-        nonlocal total
-        total += events
-        if total > MAX_EVENTS:
-            raise ValidationError(where, f"asks for more than MAX_EVENTS = {MAX_EVENTS:,} flows, data packets and reports")
-
-    agents = len(_list(data.get("agents", []), "agents"))
-    if agents:  # the quotient can be inf, which ceil cannot take
-        spend(agents * math.ceil(min(horizon / report_period, MAX_EVENTS + 1)), "report_period")
-    for i, raw in enumerate(_list(data.get("clients", []), "clients")):
-        where = f"clients[{i}]"
-        if "flows" in _object(raw, where):
-            for j, f in enumerate(_list(raw["flows"], f"{where}.flows")):
-                at = f"{where}.flows[{j}]"
-                spend(1 + len(_list(_object(f, at).get("data_at", ()), at + ".data_at")), at)
-        elif "rate_per_hour" in raw:
-            rate = _count(raw["rate_per_hour"], f"{where}.rate_per_hour")
-            hours = len(_list(raw["hours"], f"{where}.hours")) if "hours" in raw else int(horizon // SECONDS_PER_HOUR)
-            spend(rate * hours * (1 + _count(raw.get("data_packets", 0), f"{where}.data_packets")), where)
-
-
 def load_scenario(source, base_dir=None):
     """Parse a scenario file (or dict) into a Scenario.
 
@@ -559,7 +529,10 @@ def load_scenario(source, base_dir=None):
     where the format has them, no key it does not read, every time a
     finite number >= 0 of seconds, counts non-negative integers, and every
     name or flow id a non-empty string with no whitespace, the flow ids
-    unique, and no more than MAX_EVENTS flows, data packets and reports.
+    unique, and no more than MAX_EVENTS flows, data packets and reports,
+    each entry counted before its events are built.  A rate workload counts
+    rate_per_hour x (1 + data_packets) per listed hour that starts before
+    the horizon; an omitted `hours` is every whole hour below the horizon.
     Anything else raises ValidationError naming its JSON path.
 
     The events come in the order `run_scenario` schedules them, which
@@ -589,11 +562,21 @@ def load_scenario(source, base_dir=None):
     horizon = _number(data.get("horizon", SECONDS_PER_HOUR), "horizon")
     if not 0 < horizon <= MAX_HORIZON:
         raise ValidationError("horizon", f"must be positive and at most one profile year ({MAX_HORIZON:g} s), got {horizon!r}")
-    _check_work(data, horizon, config.report_period)
 
+    total = 0
+
+    def spend(events, where):  # charges `events` to JSON path `where`
+        nonlocal total
+        total += events
+        if total > MAX_EVENTS:
+            raise ValidationError(where, f"asks for more than MAX_EVENTS = {MAX_EVENTS:,} flows, data packets and reports")
+
+    agents = _list(data.get("agents", []), "agents")
+    if agents:  # the quotient can be inf, which ceil cannot take
+        spend(len(agents) * math.ceil(min(horizon / config.report_period, MAX_EVENTS + 1)), "report_period")
     dc_by_name = {a.name: a.node for a in topology.datacenters}
     registers = []
-    for i, raw in enumerate(_list(data.get("agents", []), "agents")):
+    for i, raw in enumerate(agents):
         where = f"agents[{i}]"
         name = _keys(raw, ("dc", "register_at", "respond", "profile"), where, required=("dc",))["dc"]
         if not isinstance(name, str) or name not in dc_by_name:
@@ -634,16 +617,23 @@ def load_scenario(source, base_dir=None):
                 _keys(f, ("id", "open_at", "data_at"), at, required=("id", "open_at"))
                 id_at, times_at = at + ".id", at + ".data_at"
                 open_at = _number(f["open_at"], at + ".open_at", minimum=0.0)
-                data_at = [_number(t, times_at, open_at) for t in _list(f.get("data_at", ()), times_at)]
+                times = _list(f.get("data_at", ()), times_at)
+                spend(1 + len(times), at)
+                data_at = [_number(t, times_at, open_at) for t in times]
                 add(node, _name(f["id"], id_at), open_at, data_at, id_at)
         elif "rate_per_hour" in raw:
             _keys(raw, ("client", "rate_per_hour", "hours", "data_packets"), where)
             rate = _count(raw["rate_per_hour"], f"{where}.rate_per_hour")
             hours = _list(raw.get("hours", list(range(int(horizon // SECONDS_PER_HOUR)))), f"{where}.hours")
             n_data = _count(raw.get("data_packets", 0), f"{where}.data_packets")
+            # an hour that starts at or past the horizon would build nothing
+            starts = []
             for k, h in enumerate(hours):
                 at = f"{where}.hours[{k}]"
-                _count(h, at)
+                if _count(h, at) * SECONDS_PER_HOUR < horizon:
+                    starts.append((at, h))
+            spend(rate * len(starts) * (1 + n_data), where)
+            for at, h in starts:
                 # flows and data packets at or past the horizon would never run
                 for n in range(rate):
                     open_at = h * SECONDS_PER_HOUR + (n + 1) * SECONDS_PER_HOUR / (rate + 1)
@@ -654,18 +644,21 @@ def load_scenario(source, base_dir=None):
         else:
             raise ValidationError(where, "needs flows or rate_per_hour")
 
+    switch_by_name = {name: NodeId(SWITCH, i) for i, name in enumerate(topology.switch_names)}
     connects = []
+    connected = set()
     raw_connects = data.get("switch_connects")
     if raw_connects is None:
         raw_connects = [{"switch": n} for n in topology.switch_names]
     for i, c in enumerate(_list(raw_connects, "switch_connects")):
         where = f"switch_connects[{i}]"
         switch = _keys(c, ("switch", "at"), where, required=("switch",))["switch"]
-        if switch not in topology.switch_names:
+        if not isinstance(switch, str) or switch not in switch_by_name:
             raise ValidationError(f"{where}.switch", f"unknown switch {switch!r}")
-        node = topology.switch_id(switch)
-        if any(node == connected for _, _, connected in connects):
+        node = switch_by_name[switch]
+        if node in connected:
             raise ValidationError(f"{where}.switch", f"switch {switch!r} connects twice")
+        connected.add(node)
         at = _number(c.get("at", 0.0), f"{where}.at", minimum=0.0)
         connects.append((at, "connect", node))
 

@@ -439,6 +439,8 @@ HOSTILE = {
     "agent_not_object": (lambda s: s.__setitem__("agents", [5]), "agents[0]"),
     "agents_not_list": (lambda s: s.__setitem__("agents", 5), "agents"),
     "agent_dc_unhashable": (lambda s: s["agents"].append({"dc": ["dc"]}), "agents[1].dc"),
+    "connect_switch_unhashable": (
+        lambda s: s.__setitem__("switch_connects", [{"switch": ["s"]}]), "switch_connects[0].switch"),
     "agent_respond_string": (lambda s: s["agents"][0].__setitem__("respond", "no"), "agents[0].respond"),
     "agent_respond_int": (lambda s: s["agents"][0].__setitem__("respond", 1), "agents[0].respond"),
     "agent_twice_for_one_dc": (lambda s: s["agents"].append(dict(s["agents"][0])), "agents[1].dc"),
@@ -586,6 +588,9 @@ WORKLOAD = st.one_of(
 
 
 @settings(max_examples=100, deadline=None)
+# hours that start at or past the horizon count nothing
+@example(cap=1, agent=True, horizon=12.0, period=12.0, workloads=[{"rate_per_hour": 1, "hours": [1]}])
+@example(cap=1, agent=False, horizon=12.0, period=1.0, workloads=[{"rate_per_hour": 1, "hours": [0, 1]}, {"flows": [0]}])
 @given(
     cap=st.integers(0, 40),
     agent=st.booleans(),
@@ -613,7 +618,7 @@ def test_work_cap_is_counted_before_any_event_is_built(cap, agent, horizon, peri
                 crossed = crossed or (total > cap and "clients[%d].flows[%d]" % (i, j))
         else:
             scen["clients"].append({"client": "c%d" % i, **w})
-            hours = len(w["hours"]) if "hours" in w else int(horizon // 3600)
+            hours = sum(h * 3600 < horizon for h in w["hours"]) if "hours" in w else int(horizon // 3600)
             total += w["rate_per_hour"] * hours * (1 + w.get("data_packets", 0))
             crossed = crossed or (total > cap and "clients[%d]" % i)
     start = time.perf_counter()
@@ -627,6 +632,17 @@ def test_work_cap_is_counted_before_any_event_is_built(cap, agent, horizon, peri
             events = load_scenario(scen).events
             flow_events = sum(kind in ("flow_open", "flow_data") for _, kind, _ in events)
             assert flow_events + reports <= cap
+
+
+def test_hours_past_the_horizon_count_toward_no_cap():
+    # 5,000,001 flows an hour would cross the cap, but hour 5 starts past the horizon
+    scen = tiny_scenario(horizon=3600.0)
+    scen["clients"] = [{"client": "cl", "rate_per_hour": netsim.MAX_EVENTS + 1, "hours": [5]}]
+    assert not [e for e in load_scenario(scen).events if e[1] == "flow_open"]
+    scen["clients"][0]["hours"] = [0]
+    with pytest.raises(ValidationError, match="MAX_EVENTS") as err:
+        load_scenario(scen)
+    assert err.value.field == "clients[0]"
 
 
 def test_horizon_of_one_profile_year_loads():
