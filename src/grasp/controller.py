@@ -6,7 +6,9 @@ the platform: learn the switch graph from flooded discovery packets,
 register data centers and hand them credentials, absorb their energy
 reports, and steer each new client flow to the data center the active
 scheduling policy picks, installing forward and reverse flow rules along
-the shortest discovered path.
+the shortest discovered path.  A placement's rules are built once per
+(ingress switch, ingress port, client IP, data center) and reused until
+discovery adds an edge or re-ports one, or a data center re-registers.
 """
 
 import functools
@@ -117,6 +119,7 @@ class Controller:
         self.adjacency = {}  # (switch, neighbor) -> port on switch toward neighbor
         self._neighbors = None  # switch -> neighbors by index, built from adjacency
         self._parents = {}  # source switch -> its breadth-first parent table
+        self._mods = {}  # (ingress switch, port, client ip, dc index) -> its placement's FlowMods
         self.dcs = []  # dc_id -> DataCenterRecord
         self.dcs_by_ip = {}
         self.sched = SchedulerState(config.job_energy_wh)
@@ -206,11 +209,14 @@ class Controller:
             if self.emit is not None:
                 self.emit("t=%.3f ev=drop reason=bad_discover_origin sw=%s" % (now, pkt_in.switch))
             return ControllerResponse(dropped="bad_discover_origin")
-        if (pkt_in.switch, origin) not in self.adjacency:
-            # a new edge can shorten paths; a rediscovered one only renews its port
-            self._neighbors = None
-            self._parents = {}
-        self.adjacency[(pkt_in.switch, origin)] = pkt_in.port
+        edge = (pkt_in.switch, origin)
+        port = self.adjacency.get(edge)
+        if port != pkt_in.port:
+            if port is None:  # a new edge can shorten paths
+                self._neighbors = None
+                self._parents = {}
+            self._mods = {}  # the rules read every edge's port
+            self.adjacency[edge] = pkt_in.port
         if self.emit is not None:
             self.emit("t=%.3f ev=adjacency sw=%s neighbor=%s port=%d" % (now, pkt_in.switch, origin, pkt_in.port))
         return ACCEPTED
@@ -239,6 +245,7 @@ class Controller:
             rec.switch = pkt_in.switch
             rec.port = pkt_in.port
             rec.passcode = passcode
+            self._mods = {}  # rules built for the old attachment point
         if self.emit is not None:
             self.emit(
                 "t=%.3f ev=register dc=d%d name=%s sw=%s port=%d" % (now, rec.dc_id, rec.name, rec.switch, rec.port)
@@ -293,15 +300,18 @@ class Controller:
             return ControllerResponse(dropped="no_datacenter")
         dc_index, score = self.decide(self.sched)
         rec = self.dcs[dc_index]
-        try:
-            path = self.compute_path(pkt_in.switch, rec.switch)
-        except NoPath:
-            # undo the placement: the job never reaches the data center
-            self.sched.assigned[dc_index] -= 1
-            if emit is not None:
-                emit("t=%.3f ev=drop reason=no_path flow=%s dc=d%d" % (now, flow_id, rec.dc_id))
-            return ControllerResponse(dropped="no_path")
-        mods = self.install_path(path, pkt.ip_src, pkt_in.port, rec)
+        key = (pkt_in.switch, pkt_in.port, pkt.ip_src, dc_index)
+        mods = self._mods.get(key)
+        if mods is None:
+            try:
+                path = self.compute_path(pkt_in.switch, rec.switch)
+            except NoPath:
+                # undo the placement: the job never reaches the data center
+                self.sched.assigned[dc_index] -= 1
+                if emit is not None:
+                    emit("t=%.3f ev=drop reason=no_path flow=%s dc=d%d" % (now, flow_id, rec.dc_id))
+                return ControllerResponse(dropped="no_path")
+            mods = self._mods[key] = self.install_path(path, pkt.ip_src, pkt_in.port, rec)
         if emit is not None:
             emit("t=%.3f ev=decision flow=%s dc=d%d sw=%s score=%.6f" % (now, flow_id, rec.dc_id, rec.switch, score))
         # the first hop's new rule rewrites and forwards the packet
@@ -346,7 +356,8 @@ class Controller:
 
         The first hop rewrites the destination headers to the chosen data
         center; every switch also gets a reverse rule so responses reach
-        the client.  Rules are emitted egress first.
+        the client.  Rules are emitted egress first, in a tuple that the
+        controller reuses for the same ingress, client and data center.
         """
         timeout = self.config.flow_idle_timeout
         mods = []
@@ -381,4 +392,4 @@ class Controller:
                     idle_timeout=timeout,
                 )
             )
-        return mods
+        return tuple(mods)

@@ -143,14 +143,6 @@ class Topology:
                 table[att.port] = (att.node, None)
         return table
 
-    def switch_link_pairs(self):
-        """Directed (switch, neighbor) pairs, one per link direction."""
-        pairs = set()
-        for link in self.links:
-            pairs.add((link.a, link.b))
-            pairs.add((link.b, link.a))
-        return pairs
-
 
 # JSON shape checks shared by the topology, config and scenario readers.
 # Each raises ValidationError(where, problem), `where` being the JSON path

@@ -9,7 +9,9 @@ drains after the heap's entries of that instant.  A flow table is indexed
 by (priority, match), so a lookup probes one key per match shape (which
 of src and dst a rule matches on) ever installed at a priority, at most
 four, and it keeps per idle timeout a lower bound on its rules' last
-hits, so a lookup scans for expired rules only when one can be due.
+hits, so a lookup scans for expired rules only when one can be due.  A
+rule's actions are read once, at install, into its output port and the
+headers it rewrites, so forwarding a packet walks no action list.
 
 The timer ticks only at whole simulated seconds with work: a flow table due
 to expire a rule, or an hour boundary.  Each is an entry on the same heap,
@@ -118,6 +120,10 @@ class FlowRule:
     idle_timeout: float  # 0 = permanent
     last_hit: float
     installed: int  # install counter of its table: the earlier install wins a tie
+    # the actions, read once at install: the last one's output port, None
+    # if it punts to the controller, and the set_* actions before it
+    port: object
+    sets: dict  # set_eth_dst / set_ip_dst -> value, or None for no rewrite
 
 
 class FlowTable:
@@ -149,8 +155,11 @@ class FlowTable:
         and the new rule counts as installed last."""
         key = (mod.priority, mod.match_src, mod.match_dst)
         self.rules.pop(key, None)
+        actions = mod.actions
+        port = actions[-1][1] if actions[-1][0] == "output" else None
+        sets = dict(actions[:-1]) if len(actions) > 1 else None
         self.rules[key] = FlowRule(
-            mod.priority, mod.match_src, mod.match_dst, mod.actions, mod.idle_timeout, now, next(self._installs)
+            mod.priority, mod.match_src, mod.match_dst, actions, mod.idle_timeout, now, next(self._installs), port, sets
         )
         shape = (mod.match_src is not None, mod.match_dst is not None)
         shapes = self.shapes.get(mod.priority, ())
@@ -348,27 +357,23 @@ class Simulation:
             if self.emit is not None:
                 self.emit("t=%.3f ev=drop reason=no_rule sw=%s" % (now, switch))
             return
-        if rule.actions[-1][0] == "controller":
+        port = rule.port
+        if port is None:
             pkt_in = PacketIn(switch=switch, port=in_port, packet=packet)
             resp = self.controller.on_packet_in(pkt_in, now)
             self._apply(resp, now)
             return
-        eth_dst, ip_dst = packet.eth_dst, packet.ip_dst  # a first hop's rewrite, one packet at its output
-        for action in rule.actions:
-            if action[0] == "set_eth_dst":
-                eth_dst = action[1]
-            elif action[0] == "set_ip_dst":
-                ip_dst = action[1]
-            elif action[0] == "output":
-                if eth_dst != packet.eth_dst or ip_dst != packet.ip_dst:
-                    packet = Packet(packet.kind, packet.eth_src, eth_dst, packet.ip_src, ip_dst, packet.payload)
-                peer = self._ports[switch.index].get(action[1])
-                if peer is None:
-                    if self.emit is not None:
-                        self.emit("t=%.3f ev=drop reason=bad_port sw=%s port=%d" % (now, switch, action[1]))
-                    return
-                node, peer_port = peer
-                self.schedule(now, "deliver", (node, peer_port, packet))
+        sets = rule.sets
+        if sets is not None:  # a first hop's rewrite
+            packet = Packet(packet.kind, packet.eth_src, sets.get("set_eth_dst", packet.eth_dst),
+                            packet.ip_src, sets.get("set_ip_dst", packet.ip_dst), packet.payload)
+        peer = self._ports[switch.index].get(port)
+        if peer is None:
+            if self.emit is not None:
+                self.emit("t=%.3f ev=drop reason=bad_port sw=%s port=%d" % (now, switch, port))
+            return
+        node, peer_port = peer
+        self.schedule(now, "deliver", (node, peer_port, packet))
 
     def _dc_rx(self, now, node, packet):
         agent = self._agents.get(node)

@@ -1,8 +1,10 @@
+import itertools
 import math
+import re
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grasp.controller import (
@@ -119,28 +121,121 @@ def discover(controller, switch, port, origin_mac):
     return controller.on_packet_in(PacketIn(switch, port, pkt))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(2, 7),
-    steps=st.lists(st.tuples(st.booleans(), st.integers(0, 6), st.integers(0, 6)), max_size=40),
+DC_IPS = (0x0A010001, 0x0A010002)  # two data centers, two clients
+CLIENT_IPS = (0x0A020001, 0x0A020002)
+STEPS = st.one_of(
+    # a discovery in each direction: a new edge, or new ports on a known one
+    st.tuples(st.just("link"), st.integers(0, 3), st.integers(0, 3), st.integers(1, 2), st.integers(1, 2)),
+    st.tuples(st.just("path"), st.integers(0, 3), st.integers(0, 3)),
+    # a data center registers, or re-registers where it is or elsewhere
+    st.tuples(st.just("register"), st.integers(0, 1), st.integers(0, 3), st.integers(4, 5)),
+    # a request from each client at each of two ports of two switches
+    st.tuples(st.just("requests")),
 )
+
+
+# a line s0-s1-s2 with dc0 at s2 and every template cached, then one change
+LINE_CACHED = [("register", 0, 2, 4), ("link", 0, 1, 1, 1), ("link", 1, 2, 2, 1), ("requests",)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 4), steps=st.lists(STEPS, min_size=4, max_size=40))
+@example(n=3, steps=LINE_CACHED + [("link", 1, 2, 3, 1), ("requests",)])  # s1 re-ports its edge to s2
+@example(n=3, steps=LINE_CACHED + [("link", 0, 2, 2, 2), ("requests",)])  # a shorter edge s0-s2
+@example(n=3, steps=LINE_CACHED + [("register", 0, 1, 5), ("requests",)])  # dc0 moves to s1
 def test_cached_paths_follow_discovery(n, steps):
-    # discoveries interleaved with path queries: every answer equals a fresh search
-    controller = Controller(ControllerConfig(), seed=0)
+    # discoveries, registrations and requests interleaved with path queries:
+    # every path equals a fresh search, and every placement's rules equal
+    # those built from scratch on that path at that moment
+    lines = []
+    controller = Controller(ControllerConfig(), seed=0, emit=lines.append)
     nodes = [NodeId(SWITCH, i) for i in range(n)]
     for i, sw in enumerate(nodes):
-        controller.on_switch_connect(sw, [1], 1000 + i)
-    for is_link, a, b in steps:
-        a, b = nodes[a % n], nodes[b % n]
-        if is_link and a != b:
-            discover(controller, a, 1 + b.index, 1000 + b.index)
-            continue
-        want = fresh_path(controller.adjacency, a, b)
-        if want is None:
-            with pytest.raises(NoPath):
-                controller.compute_path(a, b)
+        controller.on_switch_connect(sw, [1, 2, 3, 4, 5], 1000 + i)
+    for kind, *args in steps:
+        if kind == "link":
+            a, b, a_port, b_port = nodes[args[0] % n], nodes[args[1] % n], *args[2:]
+            if a != b:
+                discover(controller, a, a_port, 1000 + b.index)
+                discover(controller, b, b_port, 1000 + a.index)
+        elif kind == "path":
+            a, b = nodes[args[0] % n], nodes[args[1] % n]
+            want = fresh_path(controller.adjacency, a, b)
+            if want is None:
+                with pytest.raises(NoPath):
+                    controller.compute_path(a, b)
+            else:
+                assert controller.compute_path(a, b) == want
+        elif kind == "register":
+            d, sw, port = args[0], nodes[args[1] % n], args[2]
+            pkt = Packet("register", 0x020001000000 + d, 0, DC_IPS[d], 0, {"name": f"dc{d}"})
+            controller.on_packet_in(PacketIn(sw, port, pkt))
         else:
-            assert controller.compute_path(a, b) == want
+            for sw, port, ip in itertools.product(nodes[:2], (4, 5), CLIENT_IPS):
+                pkt = Packet("request", 0x020002000000 + ip, 0, ip, SERVICE_IP, {"flow_id": "f"})
+                resp = controller.on_packet_in(PacketIn(sw, port, pkt))
+                if not controller.dcs:
+                    assert resp.dropped == "no_datacenter"
+                    continue
+                rec = controller.dcs[int(re.search(r" dc=d(\d+)", lines[-1]).group(1))]
+                path = fresh_path(controller.adjacency, sw, rec.switch)
+                if path is None:
+                    assert resp.dropped == "no_path"
+                else:
+                    assert resp.flow_mods == controller.install_path(path, ip, port, rec)
+
+
+def line_controller():
+    """The line topology's controller with its data center registered and
+    one placement's rules cached; returns it, the topology and those rules."""
+    topo = line_topology()
+    controller = make(topo)
+    register(controller, topo)
+    cl, pkt = client_request(topo)
+    return controller, topo, controller.on_packet_in(PacketIn(cl.switch, cl.port, pkt)).flow_mods
+
+
+def test_reregistration_that_moves_a_datacenter_rebuilds_its_rules():
+    controller, topo, before = line_controller()
+    a, b, c = (NodeId(SWITCH, i) for i in range(3))
+    assert [m.switch for m in before[::2]] == [c, b, a]
+    # the data center moves from c's port 2 to b's port 3
+    pkt = host_packet(topo, topo.datacenters[0].node, "register", {"name": "dc_far"})
+    controller.on_packet_in(PacketIn(b, 3, pkt))
+    cl, pkt = client_request(topo, "f2")
+    mods = controller.on_packet_in(PacketIn(cl.switch, cl.port, pkt)).flow_mods
+    assert [m.switch for m in mods[::2]] == [b, a]
+    assert mods[0].actions == (("output", 3),)
+
+
+def test_discovery_of_a_shorter_edge_rebuilds_cached_rules():
+    controller, topo, before = line_controller()
+    a, b, c = (NodeId(SWITCH, i) for i in range(3))
+    assert len(before) == 6
+    discover(controller, a, 3, topo.addresses[c].mac)
+    discover(controller, c, 3, topo.addresses[a].mac)
+    cl, pkt = client_request(topo, "f2")
+    mods = controller.on_packet_in(PacketIn(cl.switch, cl.port, pkt)).flow_mods
+    assert [m.switch for m in mods[::2]] == [c, a]
+    forward_a = next(m for m in mods if m.switch == a and m.match_src is not None)
+    assert forward_a.actions[-1] == ("output", 3)
+
+
+def test_no_path_then_discovery_installs_rules():
+    topo = line_topology()
+    controller = Controller(ControllerConfig(), seed=0)
+    nodes = [NodeId(SWITCH, i) for i in range(3)]
+    for sw in nodes:  # connected, but no discovery packet has arrived
+        controller.on_switch_connect(sw, sorted(topo.ports(sw)), topo.addresses[sw].mac)
+    register(controller, topo)
+    cl, pkt = client_request(topo)
+    assert controller.on_packet_in(PacketIn(cl.switch, cl.port, pkt)).dropped == "no_path"
+    for left, right in zip(nodes, nodes[1:]):
+        for sw, peer in ((left, right), (right, left)):
+            port = next(p for p, (node, _) in topo.ports(sw).items() if node == peer)
+            discover(controller, sw, port, topo.addresses[peer].mac)
+    resp = controller.on_packet_in(PacketIn(cl.switch, cl.port, pkt))
+    assert resp.dropped is None and [m.switch for m in resp.flow_mods[::2]] == nodes[::-1]
 
 
 def test_connect_refloods_existing_switches():

@@ -87,7 +87,8 @@ def test_auto_addresses_unique_across_kinds():
 def test_topology_basics():
     topo = topology_from_dict(small_topo_dict())
     left, right = NodeId(SWITCH, 0), NodeId(SWITCH, 1)
-    assert topo.switch_link_pairs() == {(left, right), (right, left)}
+    pairs = {(link.a, link.b) for link in topo.links} | {(link.b, link.a) for link in topo.links}
+    assert pairs == {(left, right), (right, left)}
 
     ports = topo.ports(left)
     assert ports[1] == (right, 1)
@@ -237,7 +238,8 @@ def test_bundled_topology_loads():
     assert len(topo.datacenters) == 9
     assert len(topo.clients) == 6
     # full mesh: every ordered switch pair is linked
-    assert len(topo.switch_link_pairs()) == 6
+    pairs = {(link.a, link.b) for link in topo.links} | {(link.b, link.a) for link in topo.links}
+    assert len(pairs) == 6
 
 
 def test_load_topology_bad_json(tmp_path):

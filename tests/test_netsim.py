@@ -100,6 +100,28 @@ def test_expire_traces_itself():
     assert trace == ["t=2.000 ev=expire sw=s0 match=0.0.0.1->*"]
 
 
+def test_rules_resolve_their_actions_at_install():
+    # one switch, a data center at port 1 and a client at port 2
+    topo = topology_from_dict({"switches": ["s"], "links": [],
+                               "datacenters": [{"name": "d", "switch": "s", "port": 1}],
+                               "clients": [{"name": "c", "switch": "s", "port": 2}]})
+    lines = []
+    sim = Simulation(topo, config_from_dict({}), emit=lines.append)
+    rewrite_ip = FlowMod(SW, 10, 1, None, (("set_ip_dst", 7), ("output", 2)), 0.0)
+    punt = FlowMod(SW, 10, 3, None, (("controller",),), 0.0)
+    for m in (rewrite_ip, punt):
+        sim.tables[0].install(m, 0.0)
+    assert sim.tables[0].lookup(pkt(src=1), 0.0).actions == rewrite_ip.actions  # kept for readers of a rule
+    sim.schedule(0.0, "connect", SW)
+    sim.schedule(1.0, "deliver", (SW, 1, Packet("data", 5, 0xAB, 1, 2)))
+    sim.schedule(1.0, "deliver", (SW, 1, Packet("data", 5, 0xAB, 3, 2)))
+    sim.run(2.0)
+    # only ip_dst is rewritten: the packet keeps its eth_dst
+    assert [p for p in sim.client_rx["c"] if p.kind == "data"] == [Packet("data", 5, 0xAB, 1, 7)]
+    assert "t=1.000 ev=packet_in sw=s0 port=1 kind=data src=0.0.0.3" in lines
+    assert sim.controller.packet_in_count == 1
+
+
 class ListFlowTable:
     """The list-scanning flow table the indexed one replaced: a replace
     filters the list and appends, every call scans every rule."""
