@@ -210,12 +210,11 @@ class Controller:
                 self.emit("t=%.3f ev=drop reason=bad_discover_origin sw=%s" % (now, pkt_in.switch))
             return ControllerResponse(dropped="bad_discover_origin")
         edge = (pkt_in.switch, origin)
-        port = self.adjacency.get(edge)
-        if port != pkt_in.port:
-            if port is None:  # a new edge can shorten paths
-                self._neighbors = None
-                self._parents = {}
-            self._mods = {}  # the rules read every edge's port
+        if self.adjacency.get(edge) != pkt_in.port:
+            # a new edge can shorten paths, and the rules read every edge's port
+            self._neighbors = None
+            self._parents = {}
+            self._mods = {}
             self.adjacency[edge] = pkt_in.port
         if self.emit is not None:
             self.emit("t=%.3f ev=adjacency sw=%s neighbor=%s port=%d" % (now, pkt_in.switch, origin, pkt_in.port))

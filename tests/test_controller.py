@@ -121,12 +121,35 @@ def discover(controller, switch, port, origin_mac):
     return controller.on_packet_in(PacketIn(switch, port, pkt))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 7),
+    steps=st.lists(st.tuples(st.booleans(), st.integers(0, 6), st.integers(0, 6)), max_size=40),
+)
+def test_cached_paths_follow_discovery(n, steps):
+    # discoveries interleaved with path queries: every answer equals a fresh search
+    controller = Controller(ControllerConfig(), seed=0)
+    nodes = [NodeId(SWITCH, i) for i in range(n)]
+    for i, sw in enumerate(nodes):
+        controller.on_switch_connect(sw, [1], 1000 + i)
+    for is_link, a, b in steps:
+        a, b = nodes[a % n], nodes[b % n]
+        if is_link and a != b:
+            discover(controller, a, 1 + b.index, 1000 + b.index)
+            continue
+        want = fresh_path(controller.adjacency, a, b)
+        if want is None:
+            with pytest.raises(NoPath):
+                controller.compute_path(a, b)
+        else:
+            assert controller.compute_path(a, b) == want
+
+
 DC_IPS = (0x0A010001, 0x0A010002)  # two data centers, two clients
 CLIENT_IPS = (0x0A020001, 0x0A020002)
 STEPS = st.one_of(
     # a discovery in each direction: a new edge, or new ports on a known one
     st.tuples(st.just("link"), st.integers(0, 3), st.integers(0, 3), st.integers(1, 2), st.integers(1, 2)),
-    st.tuples(st.just("path"), st.integers(0, 3), st.integers(0, 3)),
     # a data center registers, or re-registers where it is or elsewhere
     st.tuples(st.just("register"), st.integers(0, 1), st.integers(0, 3), st.integers(4, 5)),
     # a request from each client at each of two ports of two switches
@@ -143,10 +166,9 @@ LINE_CACHED = [("register", 0, 2, 4), ("link", 0, 1, 1, 1), ("link", 1, 2, 2, 1)
 @example(n=3, steps=LINE_CACHED + [("link", 1, 2, 3, 1), ("requests",)])  # s1 re-ports its edge to s2
 @example(n=3, steps=LINE_CACHED + [("link", 0, 2, 2, 2), ("requests",)])  # a shorter edge s0-s2
 @example(n=3, steps=LINE_CACHED + [("register", 0, 1, 5), ("requests",)])  # dc0 moves to s1
-def test_cached_paths_follow_discovery(n, steps):
-    # discoveries, registrations and requests interleaved with path queries:
-    # every path equals a fresh search, and every placement's rules equal
-    # those built from scratch on that path at that moment
+def test_cached_rules_follow_discovery_and_registration(n, steps):
+    # two-way discoveries, registrations and requests interleaved: every
+    # placement's rules equal those built from scratch at that moment
     lines = []
     controller = Controller(ControllerConfig(), seed=0, emit=lines.append)
     nodes = [NodeId(SWITCH, i) for i in range(n)]
@@ -158,14 +180,6 @@ def test_cached_paths_follow_discovery(n, steps):
             if a != b:
                 discover(controller, a, a_port, 1000 + b.index)
                 discover(controller, b, b_port, 1000 + a.index)
-        elif kind == "path":
-            a, b = nodes[args[0] % n], nodes[args[1] % n]
-            want = fresh_path(controller.adjacency, a, b)
-            if want is None:
-                with pytest.raises(NoPath):
-                    controller.compute_path(a, b)
-            else:
-                assert controller.compute_path(a, b) == want
         elif kind == "register":
             d, sw, port = args[0], nodes[args[1] % n], args[2]
             pkt = Packet("register", 0x020001000000 + d, 0, DC_IPS[d], 0, {"name": f"dc{d}"})
