@@ -6,7 +6,9 @@ the platform: learn the switch graph from flooded discovery packets,
 register data centers and hand them credentials, absorb their energy
 reports, and steer each new client flow to the data center the active
 scheduling policy picks, installing forward and reverse flow rules along
-the shortest discovered path.  A placement's rules are built once per
+the shortest path over links discovered in both directions.  The switch
+graph is one map, switch -> {neighbor: port toward it}, and a path is one
+breadth-first search over it.  A placement's rules are built once per
 (ingress switch, ingress port, client IP, data center) and reused until
 discovery adds an edge or re-ports one, or a data center re-registers.
 """
@@ -14,7 +16,6 @@ discovery adds an edge or re-ports one, or a data center re-registers.
 import functools
 import math
 import random
-from collections import deque
 from collections.abc import Mapping, Sequence
 from types import MappingProxyType
 from typing import NamedTuple
@@ -116,9 +117,7 @@ class Controller:
         self.switch_ports = {}  # NodeId -> sorted port list
         self.switch_macs = {}  # NodeId -> mac
         self._switch_by_mac = {}
-        self.adjacency = {}  # (switch, neighbor) -> port on switch toward neighbor
-        self._neighbors = None  # switch -> neighbors by index, built from adjacency
-        self._parents = {}  # source switch -> its breadth-first parent table
+        self.adjacency = {}  # switch -> {neighbor: port on switch toward it}, neighbors by index
         self._mods = {}  # (ingress switch, port, client ip, dc index) -> its placement's FlowMods
         self.dcs = []  # dc_id -> DataCenterRecord
         self.dcs_by_ip = {}
@@ -209,13 +208,13 @@ class Controller:
             if self.emit is not None:
                 self.emit("t=%.3f ev=drop reason=bad_discover_origin sw=%s" % (now, pkt_in.switch))
             return ControllerResponse(dropped="bad_discover_origin")
-        edge = (pkt_in.switch, origin)
-        if self.adjacency.get(edge) != pkt_in.port:
+        ports = self.adjacency.get(pkt_in.switch, {})
+        if ports.get(origin) != pkt_in.port:
             # a new edge can shorten paths, and the rules read every edge's port
-            self._neighbors = None
-            self._parents = {}
             self._mods = {}
-            self.adjacency[edge] = pkt_in.port
+            # the row is rebuilt in index order only when it changes, so no search sorts
+            ports = {**ports, origin: pkt_in.port}
+            self.adjacency[pkt_in.switch] = dict(sorted(ports.items(), key=lambda item: item[0].index))
         if self.emit is not None:
             self.emit("t=%.3f ev=adjacency sw=%s neighbor=%s port=%d" % (now, pkt_in.switch, origin, pkt_in.port))
         return ACCEPTED
@@ -319,36 +318,26 @@ class Controller:
     # -- paths and rules ---------------------------------------------------
 
     def compute_path(self, src, dst):
-        """Shortest discovered switch path, fewest hops, lowest index on ties.
-
-        One breadth-first parent table per source serves every destination
-        until discovery adds an edge; the full search assigns each switch
-        the parent a search stopping at `dst` would, so paths are the same.
+        """Shortest switch path, fewest hops, lowest index on ties, over the
+        links discovered in both directions: `install_path` needs each
+        link's port both ways.  A breadth-first search that stops at `dst`.
         """
         if src == dst:
             return [src]
-        parent = self._parents.get(src)
-        if parent is None:
-            if self._neighbors is None:
-                self._neighbors = {}
-                for s, n in self.adjacency:
-                    self._neighbors.setdefault(s, []).append(n)
-                for s in self._neighbors:
-                    self._neighbors[s].sort(key=lambda node: node.index)
-            parent = self._parents[src] = {src: None}
-            queue = deque([src])
-            while queue:
-                here = queue.popleft()
-                for nxt in self._neighbors.get(here, ()):
-                    if nxt not in parent:
-                        parent[nxt] = here
-                        queue.append(nxt)
-        if dst not in parent:
-            raise NoPath(f"no discovered path {src} -> {dst}")
-        path = [dst]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        return path[::-1]
+        adjacency = self.adjacency
+        parent = {src: None}
+        queue = [src]
+        for here in queue:  # the queue grows while it is read
+            for nxt in adjacency.get(here, ()):
+                if nxt not in parent and here in adjacency.get(nxt, ()):
+                    parent[nxt] = here
+                    if nxt == dst:
+                        path = [dst]
+                        while parent[path[-1]] is not None:
+                            path.append(parent[path[-1]])
+                        return path[::-1]
+                    queue.append(nxt)
+        raise NoPath(f"no discovered path {src} -> {dst}")
 
     def install_path(self, path, client_ip, ingress_port, rec):
         """Flow rules steering one client's packets to `rec` and back.
@@ -369,7 +358,7 @@ class Controller:
             if i == len(path) - 1:
                 actions.append(("output", rec.port))
             else:
-                actions.append(("output", self.adjacency[(sw, path[i + 1])]))
+                actions.append(("output", self.adjacency[sw][path[i + 1]]))
             mods.append(
                 FlowMod(
                     switch=sw,
@@ -380,7 +369,7 @@ class Controller:
                     idle_timeout=timeout,
                 )
             )
-            back_port = ingress_port if i == 0 else self.adjacency[(sw, path[i - 1])]
+            back_port = ingress_port if i == 0 else self.adjacency[sw][path[i - 1]]
             mods.append(
                 FlowMod(
                     switch=sw,

@@ -95,17 +95,14 @@ def test_connect_installs_table_miss():
 
 
 def fresh_path(adjacency, src, dst):
-    """Breadth-first search from scratch, stopping at `dst`: the search the
-    controller's cached parent tables must agree with."""
+    """Breadth-first search from scratch, stopping at `dst`, that follows a
+    link only once discovery has run in both directions."""
     if src == dst:
         return [src]
-    neighbors = {}
-    for s, n in adjacency:
-        neighbors.setdefault(s, []).append(n)
     parent, queue = {src: None}, [src]
     for here in queue:
-        for nxt in sorted(neighbors.get(here, ()), key=lambda node: node.index):
-            if nxt not in parent:
+        for nxt in sorted(adjacency.get(here, ()), key=lambda node: node.index):
+            if nxt not in parent and here in adjacency.get(nxt, ()):
                 parent[nxt] = here
                 if nxt == dst:
                     path = [nxt]
@@ -126,8 +123,12 @@ def discover(controller, switch, port, origin_mac):
     n=st.integers(2, 7),
     steps=st.lists(st.tuples(st.booleans(), st.integers(0, 6), st.integers(0, 6)), max_size=40),
 )
-def test_cached_paths_follow_discovery(n, steps):
-    # discoveries interleaved with path queries: every answer equals a fresh search
+# a diamond s0-{s1,s2}-s3 whose s0 learns s2 before s1: the tie goes to s1
+@example(n=4, steps=[(True, a, b) for a, b in ((0, 2), (2, 0), (0, 1), (1, 0), (1, 3), (3, 1), (2, 3), (3, 2))]
+         + [(False, 0, 3)])
+def test_paths_follow_discovery(n, steps):
+    # one-way discoveries interleaved with path queries: every answer equals
+    # a fresh search over the links known both ways
     controller = Controller(ControllerConfig(), seed=0)
     nodes = [NodeId(SWITCH, i) for i in range(n)]
     for i, sw in enumerate(nodes):
@@ -148,8 +149,10 @@ def test_cached_paths_follow_discovery(n, steps):
 DC_IPS = (0x0A010001, 0x0A010002)  # two data centers, two clients
 CLIENT_IPS = (0x0A020001, 0x0A020002)
 STEPS = st.one_of(
-    # a discovery in each direction: a new edge, or new ports on a known one
-    st.tuples(st.just("link"), st.integers(0, 3), st.integers(0, 3), st.integers(1, 2), st.integers(1, 2)),
+    # a discovery of a new edge, or of new ports on a known one, and maybe its reverse
+    st.tuples(
+        st.just("link"), st.integers(0, 3), st.integers(0, 3), st.integers(1, 2), st.integers(1, 2), st.booleans()
+    ),
     # a data center registers, or re-registers where it is or elsewhere
     st.tuples(st.just("register"), st.integers(0, 1), st.integers(0, 3), st.integers(4, 5)),
     # a request from each client at each of two ports of two switches
@@ -158,17 +161,20 @@ STEPS = st.one_of(
 
 
 # a line s0-s1-s2 with dc0 at s2 and every template cached, then one change
-LINE_CACHED = [("register", 0, 2, 4), ("link", 0, 1, 1, 1), ("link", 1, 2, 2, 1), ("requests",)]
+LINE_CACHED = [("register", 0, 2, 4), ("link", 0, 1, 1, 1, True), ("link", 1, 2, 2, 1, True), ("requests",)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 4), steps=st.lists(STEPS, min_size=4, max_size=40))
-@example(n=3, steps=LINE_CACHED + [("link", 1, 2, 3, 1), ("requests",)])  # s1 re-ports its edge to s2
-@example(n=3, steps=LINE_CACHED + [("link", 0, 2, 2, 2), ("requests",)])  # a shorter edge s0-s2
+@example(n=3, steps=LINE_CACHED + [("link", 1, 2, 3, 1, True), ("requests",)])  # s1 re-ports its edge to s2
+@example(n=3, steps=LINE_CACHED + [("link", 0, 2, 2, 2, True), ("requests",)])  # a shorter edge s0-s2
 @example(n=3, steps=LINE_CACHED + [("register", 0, 1, 5), ("requests",)])  # dc0 moves to s1
+# dc0 at s1, and s0 learns its port toward s1 but s1 never learns s0's
+@example(n=2, steps=[("register", 0, 1, 4), ("link", 0, 1, 1, 1, False), ("requests",)])
 def test_cached_rules_follow_discovery_and_registration(n, steps):
-    # two-way discoveries, registrations and requests interleaved: every
-    # placement's rules equal those built from scratch at that moment
+    # discoveries, registrations and requests interleaved: every placement's
+    # rules equal those built from scratch at that moment, and a request
+    # with no path over links known both ways is dropped and rolled back
     lines = []
     controller = Controller(ControllerConfig(), seed=0, emit=lines.append)
     nodes = [NodeId(SWITCH, i) for i in range(n)]
@@ -176,10 +182,11 @@ def test_cached_rules_follow_discovery_and_registration(n, steps):
         controller.on_switch_connect(sw, [1, 2, 3, 4, 5], 1000 + i)
     for kind, *args in steps:
         if kind == "link":
-            a, b, a_port, b_port = nodes[args[0] % n], nodes[args[1] % n], *args[2:]
+            a, b, a_port, b_port, both = nodes[args[0] % n], nodes[args[1] % n], *args[2:]
             if a != b:
                 discover(controller, a, a_port, 1000 + b.index)
-                discover(controller, b, b_port, 1000 + a.index)
+                if both:
+                    discover(controller, b, b_port, 1000 + a.index)
         elif kind == "register":
             d, sw, port = args[0], nodes[args[1] % n], args[2]
             pkt = Packet("register", 0x020001000000 + d, 0, DC_IPS[d], 0, {"name": f"dc{d}"})
@@ -187,6 +194,7 @@ def test_cached_rules_follow_discovery_and_registration(n, steps):
         else:
             for sw, port, ip in itertools.product(nodes[:2], (4, 5), CLIENT_IPS):
                 pkt = Packet("request", 0x020002000000 + ip, 0, ip, SERVICE_IP, {"flow_id": "f"})
+                assigned = list(controller.sched.assigned)
                 resp = controller.on_packet_in(PacketIn(sw, port, pkt))
                 if not controller.dcs:
                     assert resp.dropped == "no_datacenter"
@@ -195,6 +203,7 @@ def test_cached_rules_follow_discovery_and_registration(n, steps):
                 path = fresh_path(controller.adjacency, sw, rec.switch)
                 if path is None:
                     assert resp.dropped == "no_path"
+                    assert controller.sched.assigned == assigned
                 else:
                     assert resp.flow_mods == controller.install_path(path, ip, port, rec)
 
@@ -266,10 +275,7 @@ def test_discovery_builds_adjacency():
     topo = line_topology()
     controller = make(topo)
     a, b, c = (NodeId(SWITCH, i) for i in range(3))
-    assert set(controller.adjacency) == {(a, b), (b, a), (b, c), (c, b)}
-    assert controller.adjacency[(a, b)] == 1
-    assert controller.adjacency[(b, c)] == 2
-    assert controller.adjacency[(c, b)] == 1
+    assert controller.adjacency == {a: {b: 1}, b: {a: 1, c: 2}, c: {b: 1}}
 
 
 def test_discovery_rejects_forgeries():
@@ -277,7 +283,7 @@ def test_discovery_rejects_forgeries():
     lines = []
     controller = make(topo, emit=lines.append)
     a, b = NodeId(SWITCH, 0), NodeId(SWITCH, 1)
-    before = dict(controller.adjacency)
+    before = {sw: dict(ports) for sw, ports in controller.adjacency.items()}
     forged = Packet("discover", topo.addresses[b].mac, BROADCAST_MAC, 0, 0, {"token": "babe"})
     assert controller.on_packet_in(PacketIn(a, 1, forged)).dropped == "bad_token"
     assert lines[-1] == "t=0.000 ev=drop reason=bad_token sw=s0"

@@ -248,7 +248,7 @@ def test_scenario_adjacency_complete(geni_hour):
     controller = geni_hour.controller
     switches = [NodeId(SWITCH, i) for i in range(3)]
     want = {(a, b) for a in switches for b in switches if a != b}
-    assert set(controller.adjacency) == want
+    assert {(sw, peer) for sw, ports in controller.adjacency.items() for peer in ports} == want
 
 
 def test_scenario_determinism():
@@ -402,7 +402,14 @@ def test_rate_workload_and_hour_reset():
     assert "t=7200.000 ev=hour_reset hour=2" in trace
 
 
-def test_staggered_switch_connect_still_discovers():
+@pytest.mark.parametrize(
+    "register_at, open_at",
+    # after s2 connects, or at the same instant: the same-instant FIFO
+    # delivers discovery both ways before the agent's and client's packets
+    [(6.0, 8.0), (5.0, 5.0)],
+    ids=["after_connect", "same_instant"],
+)
+def test_staggered_switch_connect_still_discovers(register_at, open_at):
     scen = {
         "topology": {
             "switches": ["s1", "s2"],
@@ -412,12 +419,12 @@ def test_staggered_switch_connect_still_discovers():
         },
         "horizon": 20.0,
         "switch_connects": [{"switch": "s1", "at": 0.0}, {"switch": "s2", "at": 5.0}],
-        "agents": [{"dc": "dc", "register_at": 6.0, "profile": {"shape": "zero"}}],
-        "clients": [{"client": "cl", "flows": [{"id": "x", "open_at": 8.0}]}],
+        "agents": [{"dc": "dc", "register_at": register_at, "profile": {"shape": "zero"}}],
+        "clients": [{"client": "cl", "flows": [{"id": "x", "open_at": open_at}]}],
     }
     rep = run_scenario(scen, seed=0)
     assert rep.per_dc_jobs.tolist() == [1]
-    assert rep.deliveries == [("x", 0, 8.0)]
+    assert rep.deliveries == [("x", 0, open_at)]
 
 
 @pytest.mark.parametrize(
