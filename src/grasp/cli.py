@@ -134,8 +134,12 @@ def _parse_range(text):
 
 
 def cmd_sweep(args):
+    # each mode sweeps one of --k and --jobs-per-hour over --range and fixes the other
+    flag, swept = ("--k", args.k) if args.mode == "k" else ("--jobs-per-hour", args.jobs_per_hour)
+    if swept is not None:
+        raise ValidationError(flag, "--mode %s sweeps it: give its values in --range" % args.mode)
     config = _load_run_config(args)
-    _positive("--jobs-per-hour", args.jobs_per_hour)
+    jobs_per_hour = 900 if args.jobs_per_hour is None else _positive("--jobs-per-hour", args.jobs_per_hour)
     if args.hours is not None:
         _positive("--hours", args.hours)
     values = _parse_range(args.range)
@@ -146,7 +150,7 @@ def cmd_sweep(args):
         rows = sweep_k(
             profiles,
             values,
-            jobs_per_hour=args.jobs_per_hour,
+            jobs_per_hour=jobs_per_hour,
             hours=args.hours,
         )
         xlabel = "k (energy per job, Wh)"
@@ -245,7 +249,7 @@ def build_parser():
     p.add_argument("--topology")
     p.add_argument("--config")
     p.add_argument("--k", type=float, help="energy per job for load mode")
-    p.add_argument("--jobs-per-hour", type=int, default=900, help="load for k mode")
+    p.add_argument("--jobs-per-hour", type=int, help="load for k mode, default 900")
     p.add_argument("--hours", type=int, default=None)
     p.add_argument("--out", required=True, help="summary CSV path")
     p.add_argument("--svg", help="also write a chart here")

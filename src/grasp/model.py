@@ -55,7 +55,7 @@ def format_ip(ip):
 
 def parse_ip(text):
     parts = text.split(".") if isinstance(text, str) else []
-    if len(parts) != 4 or not all(p.isdecimal() and int(p) <= 255 for p in parts):
+    if len(parts) != 4 or not all(p.isascii() and p.isdecimal() and int(p) <= 255 for p in parts):
         raise ParseError(f"bad IP address {text!r}")
     return (int(parts[0]) << 24) | (int(parts[1]) << 16) | (int(parts[2]) << 8) | int(parts[3])
 
@@ -65,19 +65,17 @@ CONTROLLER_IP = parse_ip("10.255.0.1")
 SERVICE_IP = parse_ip("10.255.0.100")
 
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
 def parse_mac(text):
     parts = text.split(":") if isinstance(text, str) else []
-    if len(parts) != 6:
-        raise ParseError(f"bad MAC address {text!r}")
-    try:
-        octets = [int(p, 16) for p in parts]
-    except ValueError:
-        raise ParseError(f"bad MAC address {text!r}") from None
-    if not all(0 <= o <= 255 for o in octets):
+    # int(p, 16) alone would also take a sign, spaces, underscores and 0x
+    if len(parts) != 6 or not all(1 <= len(p) <= 2 and set(p) <= _HEX_DIGITS for p in parts):
         raise ParseError(f"bad MAC address {text!r}")
     value = 0
-    for o in octets:
-        value = (value << 8) | o
+    for p in parts:
+        value = (value << 8) | int(p, 16)
     return value
 
 

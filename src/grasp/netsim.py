@@ -322,14 +322,8 @@ class Simulation:
         for out in resp.packets:
             if out.port is TABLE:
                 self._switch_rx(now, out.switch, None, out.packet)
-                continue
-            peer = self._ports[out.switch.index].get(out.port)
-            if peer is None:
-                if self.emit is not None:
-                    self.emit("t=%.3f ev=drop reason=bad_port sw=%s port=%d" % (now, out.switch, out.port))
-                continue
-            node, peer_port = peer
-            self.schedule(now, "deliver", (node, peer_port, out.packet))
+            else:
+                self.schedule(now, "deliver", (*self._ports[out.switch.index][out.port], out.packet))
 
     def _emit_from_host(self, now, node, kind, payload, eth_dst=0, ip_dst=0):
         """A host puts a packet from its own address on its access link; it
@@ -367,13 +361,9 @@ class Simulation:
         if sets is not None:  # a first hop's rewrite
             packet = Packet(packet.kind, packet.eth_src, sets.get("set_eth_dst", packet.eth_dst),
                             packet.ip_src, sets.get("set_ip_dst", packet.ip_dst), packet.payload)
-        peer = self._ports[switch.index].get(port)
-        if peer is None:
-            if self.emit is not None:
-                self.emit("t=%.3f ev=drop reason=bad_port sw=%s port=%d" % (now, switch, port))
-            return
-        node, peer_port = peer
-        self.schedule(now, "deliver", (node, peer_port, packet))
+        # the controller names only ports this simulation gave it (here and in
+        # `_apply`), so a hand-built FlowMod naming another raises KeyError
+        self.schedule(now, "deliver", (*self._ports[switch.index][port], packet))
 
     def _dc_rx(self, now, node, packet):
         agent = self._agents.get(node)
@@ -401,9 +391,7 @@ class Simulation:
         self._emit_from_host(now, script.node, "register", {"name": self._attachment(script.node).name})
 
     def _agent_report(self, now, node):
-        agent = self._agents[node]
-        if agent["dc_id"] is None:
-            return
+        agent = self._agents[node]  # a report is scheduled only once the register_ack is in
         wh = agent["script"].profile.wh
         energy = wh.item(int(now // SECONDS_PER_HOUR) % len(wh))  # a Python float, no numpy scalar
         self._emit_from_host(now, node, "report", {"passcode": agent["passcode"], GREEN_ENERGY_PARAM: energy})

@@ -283,7 +283,7 @@ def test_validate_nothing_is_an_error():
     assert run_cli("validate") == 1
 
 
-def test_exit_codes_missing_vs_malformed(tmp_path):
+def test_exit_codes_missing_vs_malformed(tmp_path, capsys):
     assert run_cli("validate", "--topology", str(tmp_path / "ghost.json")) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{]")
@@ -294,6 +294,11 @@ def test_exit_codes_missing_vs_malformed(tmp_path):
     not_text.write_bytes(b"\xff\xfe{")
     assert run_cli("scenario", "--scenario", str(not_text)) == 1
     assert run_cli("validate", "--config", str(not_text)) == 1
+    empty_file = tmp_path / "empty.csv"
+    empty_file.write_text("")
+    capsys.readouterr()
+    assert run_cli("validate", "--energy", str(empty_file)) == 1
+    assert capsys.readouterr().err == "error: %s: empty file\n" % empty_file
     empty_dir = tmp_path / "empty"
     empty_dir.mkdir()
     assert run_cli("run", "--energy-dir", str(empty_dir)) == 1
@@ -327,12 +332,36 @@ def test_seed_only_on_scenario(argv):
     assert err.value.code == 1
 
 
-@pytest.mark.parametrize("text", ["nan:1:1", "0:inf:1", "-inf:1:1", "0:1:nan", "0:1e308:1e-308", "0:1e300:1e-5"])
-def test_sweep_rejects_ranges_it_cannot_step(tmp_path, capsys, text):
+BAD_K_RANGES = {
+    "nan:1:1": "parts must be finite numbers",
+    "0:inf:1": "parts must be finite numbers",
+    "-inf:1:1": "parts must be finite numbers",
+    "0:1:nan": "parts must be finite numbers",
+    "0:1e308:1e-308": "'0:1e308:1e-308' has more than",
+    "0:1e300:1e-5": "'0:1e300:1e-5' has more than",
+    "1:2": "expected start:end:step",
+    "a:2:1": "non-numeric part",
+    "1:2:0": "step must be > 0",
+    "2:1:1": "end below start",
+    "0:1:1": "k values must be > 0",
+}
+
+
+@pytest.mark.parametrize("text, problem", BAD_K_RANGES.items(), ids=BAD_K_RANGES.keys())
+def test_sweep_rejects_ranges_it_cannot_step(tmp_path, capsys, text, problem):
     code = run_cli("sweep", "--mode", "k", "--range=" + text, "--energy-dir", data_path("sites"),
                    "--hours", "24", "--out", str(tmp_path / "x.csv"))
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: --range: ")
+    assert capsys.readouterr().err.startswith("error: --range: " + problem)
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("mode, swept, value", [("k", "--k", "5"), ("load", "--jobs-per-hour", "300")])
+def test_sweep_refuses_the_flag_its_range_sweeps(tmp_path, capsys, mode, swept, value):
+    code = run_cli("sweep", "--mode", mode, "--range", "1:2:1", "--energy-dir", data_path("sites"),
+                   "--hours", "24", "--out", str(tmp_path / "x.csv"), swept, value)
+    assert code == 1
+    assert capsys.readouterr().err == "error: %s: --mode %s sweeps it: give its values in --range\n" % (swept, mode)
     assert not (tmp_path / "x.csv").exists()
 
 

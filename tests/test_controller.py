@@ -416,14 +416,22 @@ def test_accepted_reports_share_one_immutable_response():
 
 def test_report_auth_failures():
     topo = line_topology()
-    controller = make(topo)
+    lines = []
+    controller = make(topo, emit=lines.append)
     register(controller, topo)
+    lines.clear()
     att = topo.datacenters[0]
     bad = report_packet(topo, att.node, "00" * 16, 1.0)
-    assert controller.on_packet_in(PacketIn(att.switch, att.port, bad)).dropped == "bad_passcode"
+    assert controller.on_packet_in(PacketIn(att.switch, att.port, bad), now=3.0).dropped == "bad_passcode"
     stranger = Packet("report", 7, 0, 0x0A09090A, 0, {"passcode": "", GREEN_ENERGY_PARAM: 1.0})
-    assert controller.on_packet_in(PacketIn(att.switch, att.port, stranger)).dropped == "unknown_reporter"
+    assert controller.on_packet_in(PacketIn(att.switch, att.port, stranger), now=4.5).dropped == "unknown_reporter"
     assert controller.auth_failures == 2
+    assert lines == [
+        "t=3.000 ev=packet_in sw=s2 port=2 kind=report src=10.1.0.1",
+        "t=3.000 ev=auth_fail reason=bad_passcode dc=d0",
+        "t=4.500 ev=packet_in sw=s2 port=2 kind=report src=10.9.9.10",
+        "t=4.500 ev=auth_fail reason=unknown_reporter src=10.9.9.10",
+    ]
     assert controller.sched.energy_wh == [0.0]
 
 

@@ -122,6 +122,11 @@ def test_metrics_csv_shape():
 
     assert rep.green_jobs[1] == 2.0
     assert rep.per_dc_load[1].tolist() == [3, 0]
+    with pytest.raises(ValidationError, match="need at least one report"):
+        metrics_csv_text([])
+    three = run_year(const_profiles(2.0, 0.0, 1.0), "green_aware", 1.0, 3, hours=2)
+    with pytest.raises(ValidationError, match="different fleet sizes"):
+        metrics_csv_text([rep, three])
 
 
 def test_sweep_csv_shape():

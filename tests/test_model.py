@@ -165,6 +165,10 @@ def set_name(key, i, value):
     return lambda d: d[key][i].__setitem__("name", value)
 
 
+def set_address(field, value):
+    return lambda d: d["datacenters"][0].__setitem__(field, value)
+
+
 # shapes and names the format refuses; each entry names the JSON path its error must carry
 HOSTILE_TOPOLOGY_VALUES = {
     "switches_not_list": (lambda d: d.__setitem__("switches", "left"), "switches"),
@@ -191,6 +195,13 @@ HOSTILE_TOPOLOGY_VALUES = {
     "datacenter_ip_number": (lambda d: d["datacenters"][1].__setitem__("ip", 7), "datacenters[1].ip"),
     "client_mac_bad_octet": (lambda d: d["clients"][0].__setitem__("mac", "02:00:00:00:00:zz"), "clients[0].mac"),
     "client_mac_short": (lambda d: d["clients"][0].__setitem__("mac", "02:00:00"), "clients[0].mac"),
+    # forms int(p, 16) or str.isdecimal takes that are no address octet
+    "datacenter_mac_plus": (set_address("mac", "+1:2:3:4:5:6"), "datacenters[0].mac"),
+    "datacenter_mac_space": (set_address("mac", " 1:2:3:4:5:6"), "datacenters[0].mac"),
+    "datacenter_mac_underscore": (set_address("mac", "1_0:2:3:4:5:6"), "datacenters[0].mac"),
+    "datacenter_mac_0x": (set_address("mac", "0x1:2:3:4:5:6"), "datacenters[0].mac"),
+    "datacenter_mac_minus": (set_address("mac", "-0:0:0:0:0:1"), "datacenters[0].mac"),
+    "datacenter_ip_arabic_indic": (set_address("ip", "\u0661\u0660.0.0.1"), "datacenters[0].ip"),
     # the controller's own addresses: a client pinned to SERVICE_IP would take every request
     "datacenter_ip_controller": (lambda d: d["datacenters"][0].__setitem__("ip", "10.255.0.1"), "datacenters[0].ip"),
     "client_ip_service": (lambda d: d["clients"][0].__setitem__("ip", "10.255.0.100"), "clients[0].ip"),

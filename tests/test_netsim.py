@@ -588,6 +588,30 @@ def test_referenced_files_keep_their_own_paths(tmp_path):
         assert err.value.field == field
 
 
+def test_agent_reports_the_hourly_value_of_its_profile_csv(tmp_path):
+    (tmp_path / "site.csv").write_text("wh\n" + "".join("%d.25\n" % (h % 24) for h in range(8760)))
+    scen = tiny_scenario(horizon=4 * 3600.0, clients=[])
+    scen["agents"][0]["profile"] = {"profile_csv": "site.csv"}
+    lines = []
+    run_scenario(scen, base_dir=str(tmp_path), emit=lines.append)
+    assert [line for line in lines if "ev=report" in line] == [
+        "t=%.3f ev=report dc=d0 green_energy_wh=%d.250000" % (h * 3600 + 0.5, h) for h in (1, 2, 3)
+    ]
+
+
+def test_a_rule_naming_a_port_its_switch_lacks_raises_keyerror():
+    # every port the controller names comes from the simulation, so only a
+    # hand-built rule can name another, and that is the caller's fault
+    topo = topology_from_dict(tiny_scenario()["topology"])
+    lines = []
+    sim = Simulation(topo, config_from_dict({}), emit=lines.append)
+    sim.tables[0].install(mod(port=9, timeout=0.0), 0.0)
+    sim.schedule(1.0, "deliver", (SW, 2, pkt()))
+    with pytest.raises(KeyError, match="^9$"):
+        sim.run(2.0)
+    assert lines == []
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
