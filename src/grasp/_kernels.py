@@ -91,10 +91,7 @@ def _greedy_rows(cap, jobs):
     n = np.floor(s)
     f = s - n
     n = n.astype(np.int64)
-    whole, frac = n.copy(), f.copy()
-    for k in range(1, m):
-        whole[k] += whole[k - 1]
-        frac[k] += frac[k - 1]
+    whole, frac = n.cumsum(axis=0), f.cumsum(axis=0)
     j = np.arange(1, m + 1)[:, None]
     # s_j > t_j, i.e. sum(s_i - s_j for i <= j) < jobs
     above = (whole - j * n - jobs) + (frac - j * f) < 0

@@ -22,8 +22,7 @@ from typing import NamedTuple
 
 from .energy import valid_energy
 from .errors import AlreadyConnected, NoPath, UnknownSwitch
-# SERVICE_IP is re-exported for netsim and the tests
-from .model import CONTROLLER_IP, SERVICE_IP, DataCenterRecord, NodeId, format_ip
+from .model import CONTROLLER_IP, DataCenterRecord, NodeId, format_ip
 from .scheduler import SchedulerState, get_scheduler, reset_hour
 
 BROADCAST_MAC = 0xFFFFFFFFFFFF

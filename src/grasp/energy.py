@@ -76,12 +76,15 @@ def _read_year(path, fields, exact=False):
     number; otherwise they are re-read with `float()`'s rules.
     """
     columns = list(fields.values())
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         head = csv.reader(fh)
         header = [h.strip() for h in _first_record(path, head) or []]
         if any(c not in header for c in columns) or (exact and header != columns):
             raise ParseError(f"{path}: expected columns {columns}, header has {header}")
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     index = [header.index(c) for c in columns]
     try:
         if any(sep in text for sep in "\x1c\x1d\x1e\x1f"):  # numpy strips them as whitespace, float() does not
@@ -121,16 +124,19 @@ def _read_year(path, fields, exact=False):
 
 
 def _first_record(path, reader):
-    """The header record of a CSV, or None for an empty file."""
+    """The header record of a CSV, or None for an empty file.  The first read
+    decodes a whole buffer, so bytes that are not UTF-8 in a short file fail here."""
     try:
         return next(reader, None)
     except csv.Error as exc:
         raise ParseError(f"{path}:1: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _row_error(path, n, problem):
     """ParseError for the `n`-th data row, naming the file line it ends on."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
         line = next(islice((reader.line_num for row in reader if row), n, None))
@@ -197,7 +203,7 @@ def profile_csv_text(profile):
 
 def profile_csv_header_kind(path):
     """Peek at a CSV header: 'profile' for wh files, 'weather' otherwise."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         header = _first_record(path, csv.reader(fh))
     if header is None:
         raise ParseError(f"{path}: empty file")

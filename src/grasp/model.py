@@ -88,16 +88,6 @@ def auto_address(node):
 
 
 @dataclass(frozen=True)
-class Link:
-    """Bidirectional switch-to-switch cable: (a, a_port) <-> (b, b_port)."""
-
-    a: NodeId
-    a_port: int
-    b: NodeId
-    b_port: int
-
-
-@dataclass(frozen=True)
 class Attachment:
     """A host (data center or client) plugged into one switch port."""
 
@@ -123,23 +113,10 @@ class DataCenterRecord:
 @dataclass
 class Topology:
     switch_names: list
-    links: list
+    ports: list  # by switch index: {port: (peer node, peer port or None for a host)}
     datacenters: list
     clients: list
     addresses: dict
-
-    def ports(self, switch):
-        """Map port -> (peer node, peer port or None for hosts) on one switch."""
-        table = {}
-        for link in self.links:
-            if link.a == switch:
-                table[link.a_port] = (link.b, link.b_port)
-            if link.b == switch:
-                table[link.b_port] = (link.a, link.a_port)
-        for att in self.datacenters + self.clients:
-            if att.switch == switch:
-                table[att.port] = (att.node, None)
-        return table
 
 
 # JSON shape checks shared by the topology, config and scenario readers.
@@ -222,24 +199,25 @@ def topology_from_dict(data):
         _require(name not in index_of, f"switches[{i}]", f"duplicate switch name {name!r}")
         index_of[name] = i
 
-    used_ports = set()
+    ports = [{} for _ in names]
 
     def plug(raw, switch_key, port_key, where):
-        """The switch `raw[switch_key]` names, with port `raw[port_key]` claimed on it."""
+        """The switch `raw[switch_key]` names, and port `raw[port_key]`, still free on it."""
         name = raw[switch_key]
         _require(isinstance(name, str) and name in index_of, f"{where}.{switch_key}", f"unknown switch {name!r}")
         switch = NodeId(SWITCH, index_of[name])
         port = _count(raw[port_key], f"{where}.{port_key}", minimum=1)
-        _require((switch, port) not in used_ports, f"{where}.{port_key}", f"port {port} on {name!r} used twice")
-        used_ports.add((switch, port))
+        _require(port not in ports[switch.index], f"{where}.{port_key}", f"port {port} on {name!r} used twice")
         return switch, port
 
-    links = []
     for i, raw in enumerate(_list(data["links"], "links")):
         where = f"links[{i}]"
         _keys(raw, ("a", "a_port", "b", "b_port"), where, required=("a", "a_port", "b", "b_port"))
         _require(raw["a"] != raw["b"], where, "link endpoints must differ")
-        links.append(Link(*plug(raw, "a", "a_port", where), *plug(raw, "b", "b_port", where)))
+        a, a_port = plug(raw, "a", "a_port", where)
+        b, b_port = plug(raw, "b", "b_port", where)
+        ports[a.index][a_port] = (b, b_port)
+        ports[b.index][b_port] = (a, a_port)
 
     addresses = {NodeId(SWITCH, i): auto_address(NodeId(SWITCH, i)) for i in range(len(names))}
 
@@ -261,6 +239,7 @@ def topology_from_dict(data):
             seen.add(name)
             switch, port = plug(raw, "switch", "port", where)
             node = NodeId(kind, i)
+            ports[switch.index][port] = (node, None)
             address = auto_address(node)
             if "ip" in raw or "mac" in raw:
                 ip = pin(parse_ip, raw, "ip", where) if "ip" in raw else address.ip
@@ -276,16 +255,18 @@ def topology_from_dict(data):
 
     ips = [a.ip for a in addresses.values()]
     _require(len(set(ips)) == len(ips), "addresses", "duplicate IP address")
-    return Topology(names, links, datacenters, clients, addresses)
+    return Topology(names, ports, datacenters, clients, addresses)
 
 
 def read_json(path):
     """Parse one JSON file; text that is not JSON raises ParseError naming the file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, or bytes that do not decode as text
+    except ValueError as exc:  # JSONDecodeError, or bytes that do not decode as UTF-8
         raise ParseError(f"{path}: {exc}") from None
+    except RecursionError:  # arrays or objects nested deeper than the parser's stack
+        raise ParseError(f"{path}: JSON nested too deeply") from None
 
 
 def load_topology(path):

@@ -48,11 +48,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .controller import GREEN_ENERGY_PARAM, SERVICE_IP, TABLE, Controller, Packet, PacketIn, match_text
+from .controller import GREEN_ENERGY_PARAM, TABLE, Controller, Packet, PacketIn, match_text
 from .energy import HOURS_PER_YEAR, build_profile, load_profile_csv, parse_nsrdb_csv, synth_profile
 from .errors import ValidationError
 from .model import (
     DATACENTER,
+    SERVICE_IP,
     SWITCH,
     ControllerConfig,
     NodeId,
@@ -256,14 +257,13 @@ class Simulation:
         self.emit = emit  # takes each trace line as it happens; None formats no line
         self.controller = Controller(config, seed=seed, emit=emit)
         # by switch index, so the per-packet path hashes no NodeId
-        switches = [NodeId(SWITCH, i) for i in range(len(topology.switch_names))]
-        self.tables = [FlowTable(sw, emit) for sw in switches]
-        self._ports = [topology.ports(sw) for sw in switches]
+        self.tables = [FlowTable(NodeId(SWITCH, i), emit) for i in range(len(topology.ports))]
+        self._ports = topology.ports
         self._hosts = {  # host NodeId -> (mac, ip, switch, port) of its access link
             att.node: (topology.addresses[att.node].mac, topology.addresses[att.node].ip, att.switch, att.port)
             for att in topology.datacenters + topology.clients
         }
-        self._armed = [math.inf] * len(switches)  # each table's pending expiry tick
+        self._armed = [math.inf] * len(self.tables)  # each table's pending expiry tick
         self._heap = []  # (time, insertion order, kind, payload)
         self._order = itertools.count()
         self._now = None  # the instant `run` is handling

@@ -20,7 +20,7 @@ from grasp.cli import main as cli_main
 from grasp.datafiles import data_path
 from grasp.energy import synth_profile
 from grasp.experiment import run_year
-from grasp.model import load_topology, read_json
+from grasp.model import SWITCH, NodeId, load_topology, read_json
 from grasp.netsim import run_scenario
 
 
@@ -139,7 +139,8 @@ def test_criterion_5_packet_in_accounting():
 def test_criterion_6_discovery_completeness():
     rep, _ = geni_hour_report()
     topo = load_topology(data_path("geni.topo.json"))
-    wired = {(link.a, link.b) for link in topo.links} | {(link.b, link.a) for link in topo.links}
+    wired = {(NodeId(SWITCH, i), peer) for i, table in enumerate(topo.ports)
+             for peer, _ in table.values() if peer.kind == SWITCH}
     discovered = {(sw, peer) for sw, ports in rep.controller.adjacency.items() for peer in ports}
     check(
         discovered == wired,

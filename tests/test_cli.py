@@ -305,6 +305,90 @@ def test_exit_codes_missing_vs_malformed(tmp_path, capsys):
     assert run_cli("run", "--energy-dir", str(tmp_path / "ghost_dir")) == 2
 
 
+def test_json_nested_deeper_than_the_parser_takes_is_a_parse_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    nested_clients = tmp_path / "nested_clients.json"
+    nested_clients.write_text(
+        '{"switches": ["s"], "links": [], "datacenters": [], "clients": %s}' % ("[" * 100000 + "]" * 100000)
+    )
+    capsys.readouterr()
+    for flag, path in [("--scenario", deep), ("--config", deep), ("--topology", deep), ("--topology", nested_clients)]:
+        assert run_cli("scenario" if flag == "--scenario" else "validate", flag, str(path)) == 1
+        assert capsys.readouterr().err == "error: %s: JSON nested too deeply\n" % path
+
+
+def weather_with_a_bad_byte():
+    """A bundled weather file whose 5,000th data row ends in 0xff, past the header's read."""
+    with open(data_path("sites", "01_elmira_corning_regional.csv"), "rb") as fh:
+        lines = fh.read().split(b"\n")
+    lines[5000] = lines[5000][:-1] + b"\xff"
+    return b"\n".join(lines)
+
+
+# bytes no UTF-8 text holds, in the header, in a short body, or deep in a weather file
+NOT_UTF8_SITES = {
+    "header": ("profile_csv", lambda: b"\xff\xfewh\n1.0\n"),
+    "body": ("profile_csv", lambda: b"wh\n\xff\xfe1.0\n"),
+    "weather_row": ("weather_csv", weather_with_a_bad_byte),
+}
+
+
+@pytest.mark.parametrize("key, content", NOT_UTF8_SITES.values(), ids=NOT_UTF8_SITES.keys())
+def test_a_site_csv_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, key, content):
+    sites = tmp_path / "sites"
+    sites.mkdir()
+    site = sites / "site.csv"
+    site.write_bytes(content())
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "topology": {"switches": ["s"], "links": [], "datacenters": [{"name": "dc", "switch": "s", "port": 1}],
+                     "clients": []},
+        "config": {},
+        "horizon": 1.0,
+        "agents": [{"dc": "dc", "register_at": 0.5, "respond": True, "profile": {key: "sites/site.csv"}}],
+        "clients": [],
+    }))
+    capsys.readouterr()
+    for argv in [
+        ["validate", "--energy", str(site)],
+        ["validate", "--energy", str(sites)],
+        ["run", "--energy-dir", str(sites)],
+        ["sweep", "--mode", "k", "--range", "1:2:1", "--energy-dir", str(sites), "--out", str(tmp_path / "s.csv")],
+        ["scenario", "--scenario", str(scenario)],
+    ]:
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == "error: %s: not UTF-8 text (invalid start byte)\n" % site
+
+
+def polylines(svg):
+    """Each series of a chart as its list of (x, y) points."""
+    return [[tuple(float(v) for v in point.split(",")) for point in points.split()]
+            for points in re.findall(r'<polyline points="([^"]*)"', svg)]
+
+
+def test_sweep_chart_of_one_point_draws_it_at_the_left_edge(tmp_path):
+    svg = tmp_path / "one.svg"
+    assert run_cli("sweep", "--mode", "k", "--range", "5:5:1", "--energy-dir", data_path("sites"), "--hours", "24",
+                   "--out", str(tmp_path / "one.csv"), "--svg", str(svg)) == 0
+    lines = polylines(svg.read_text())
+    assert len(lines) == 2 and all(len(points) == 1 and points[0][0] == 64.0 for points in lines)
+
+
+def test_sweep_chart_of_no_green_energy_draws_flat_series(tmp_path):
+    sites = tmp_path / "zero"
+    sites.mkdir()
+    for name in ("a", "b"):
+        assert run_cli("gen-energy", "--shape", "zero", "--out", str(sites / ("%s.csv" % name))) == 0
+    svg = tmp_path / "flat.svg"
+    assert run_cli("sweep", "--mode", "k", "--range", "1:3:1", "--energy-dir", str(sites), "--hours", "24",
+                   "--out", str(tmp_path / "flat.csv"), "--svg", str(svg)) == 0
+    lines = polylines(svg.read_text())
+    # every value is 0, drawn on the plot's bottom edge: 460 px high less the 48 px bottom margin
+    assert len(lines) == 2 and {y for points in lines for _, y in points} == {412.0}
+    assert all(len(points) == 3 for points in lines)
+
+
 def test_usage_errors_exit_one():
     with pytest.raises(SystemExit) as err:
         run_cli("sweep", "--mode", "sideways", "--range", "1:2:1",

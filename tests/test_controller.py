@@ -12,7 +12,6 @@ from grasp.controller import (
     CONTROLLER_IP,
     FLOW_PRIORITY,
     GREEN_ENERGY_PARAM,
-    SERVICE_IP,
     TABLE,
     TABLE_MISS_PRIORITY,
     Controller,
@@ -23,6 +22,7 @@ from grasp.controller import (
 from grasp.energy import valid_energy
 from grasp.errors import AlreadyConnected, NoPath, UnknownSwitch
 from grasp.model import (
+    SERVICE_IP,
     SWITCH,
     ControllerConfig,
     DataCenterRecord,
@@ -51,10 +51,10 @@ def connect_all(controller, topo, now=0.0):
     outs = []
     for i, _ in enumerate(topo.switch_names):
         sw = NodeId(SWITCH, i)
-        resp = controller.on_switch_connect(sw, sorted(topo.ports(sw)), topo.addresses[sw].mac, now)
+        resp = controller.on_switch_connect(sw, sorted(topo.ports[sw.index]), topo.addresses[sw].mac, now)
         outs = resp.packets  # every connect refloods all connected switches
     for out in outs:
-        peer = topo.ports(out.switch).get(out.port)
+        peer = topo.ports[out.switch.index].get(out.port)
         if peer is None or peer[0].kind != SWITCH:
             continue
         controller.on_packet_in(PacketIn(peer[0], peer[1], out.packet), now)
@@ -249,13 +249,13 @@ def test_no_path_then_discovery_installs_rules():
     controller = Controller(ControllerConfig(), seed=0)
     nodes = [NodeId(SWITCH, i) for i in range(3)]
     for sw in nodes:  # connected, but no discovery packet has arrived
-        controller.on_switch_connect(sw, sorted(topo.ports(sw)), topo.addresses[sw].mac)
+        controller.on_switch_connect(sw, sorted(topo.ports[sw.index]), topo.addresses[sw].mac)
     register(controller, topo)
     cl, pkt = client_request(topo)
     assert controller.on_packet_in(PacketIn(cl.switch, cl.port, pkt)).dropped == "no_path"
     for left, right in zip(nodes, nodes[1:]):
         for sw, peer in ((left, right), (right, left)):
-            port = next(p for p, (node, _) in topo.ports(sw).items() if node == peer)
+            port = next(p for p, (node, _) in topo.ports[sw.index].items() if node == peer)
             discover(controller, sw, port, topo.addresses[peer].mac)
     resp = controller.on_packet_in(PacketIn(cl.switch, cl.port, pkt))
     assert resp.dropped is None and [m.switch for m in resp.flow_mods[::2]] == nodes[::-1]
@@ -613,7 +613,7 @@ def test_request_no_path_rolls_back_assignment():
     controller = Controller(ControllerConfig(), seed=0)
     for i, _ in enumerate(topo.switch_names):
         sw = NodeId(SWITCH, i)
-        controller.on_switch_connect(sw, sorted(topo.ports(sw)), topo.addresses[sw].mac)
+        controller.on_switch_connect(sw, sorted(topo.ports[sw.index]), topo.addresses[sw].mac)
     controller.adjacency.clear()  # discovery never happened
     register(controller, topo)
     cl, pkt = client_request(topo)

@@ -84,18 +84,36 @@ def test_auto_addresses_unique_across_kinds():
     assert all((a.mac >> 40) & 0x03 == 0x02 for a in addrs)
 
 
+def switch_pairs(topo):
+    """Every wired (switch, peer switch) pair, in both directions, read from the port maps."""
+    return {(NodeId(SWITCH, i), peer) for i, table in enumerate(topo.ports)
+            for peer, _ in table.values() if peer.kind == SWITCH}
+
+
 def test_topology_basics():
     topo = topology_from_dict(small_topo_dict())
     left, right = NodeId(SWITCH, 0), NodeId(SWITCH, 1)
-    pairs = {(link.a, link.b) for link in topo.links} | {(link.b, link.a) for link in topo.links}
-    assert pairs == {(left, right), (right, left)}
-
-    ports = topo.ports(left)
-    assert ports[1] == (right, 1)
-    assert ports[2] == (topo.datacenters[0].node, None)
-    assert ports[3] == (topo.clients[0].node, None)
-
+    assert switch_pairs(topo) == {(left, right), (right, left)}
     assert len(topo.addresses) == 5
+
+
+def test_topology_port_maps_hold_each_link_on_both_ends_and_each_host_once():
+    data = small_topo_dict()
+    data["switches"].append("far")
+    data["links"].append({"a": "far", "a_port": 7, "b": "right", "b_port": 4})
+    topo = topology_from_dict(data)
+    left, right, far = (NodeId(SWITCH, i) for i in range(3))
+    dc_a, dc_b = (att.node for att in topo.datacenters)
+    assert topo.ports == [
+        {1: (right, 1), 2: (dc_a, None), 3: (topo.clients[0].node, None)},
+        {1: (left, 1), 4: (far, 7), 2: (dc_b, None)},
+        {7: (right, 4)},
+    ]
+    # a port reused on a link's far end is refused by the far end's path and switch
+    data["links"].append({"a": "far", "a_port": 8, "b": "right", "b_port": 1})
+    with pytest.raises(ValidationError, match="port 1 on 'right' used twice") as err:
+        topology_from_dict(data)
+    assert err.value.field == "links[2].b_port"
 
 
 def test_topology_pinned_addresses():
@@ -249,8 +267,7 @@ def test_bundled_topology_loads():
     assert len(topo.datacenters) == 9
     assert len(topo.clients) == 6
     # full mesh: every ordered switch pair is linked
-    pairs = {(link.a, link.b) for link in topo.links} | {(link.b, link.a) for link in topo.links}
-    assert len(pairs) == 6
+    assert len(switch_pairs(topo)) == 6
 
 
 def test_load_topology_bad_json(tmp_path):
