@@ -101,13 +101,13 @@ def cmd_run(args):
         hours=hours,
     )
     print(
-        "scheduler=%s k=%g jobs_per_hour=%d hours=%d dcs=%d"
+        "scheduler=%s k=%.15g jobs_per_hour=%d hours=%d dcs=%d"
         % (report.scheduler, report.job_energy_wh, report.jobs_per_hour, report.hours, len(report.dc_names))
     )
     print("r_avg=%.6f" % report.r_avg)
     if args.out:
         with _atomic_file(args.out) as fh:
-            fh.write(metrics_csv_text([report]))
+            fh.write(metrics_csv_text(report))
         print("wrote %s" % args.out)
     return 0
 
@@ -126,7 +126,13 @@ def _parse_range(text):
         raise ValidationError("--range", "step must be > 0")
     if end < start:
         raise ValidationError("--range", "end below start")
-    steps = (end - start) / step + 1e-9
+    # start and end are each parsed to within half an ulp, so when they
+    # nearly cancel, a whole number of steps can come out short by far
+    # more than the division rounds; min() keeps round() off an inf
+    steps = min((end - start) / step, MAX_SWEEP_POINTS)
+    whole = round(steps)
+    if abs(steps - whole) <= 1e-9 + (math.ulp(start) + math.ulp(end)) / step:
+        steps = whole
     # every point runs two scheduler years; a longer range is a typo, not a sweep
     if not steps < MAX_SWEEP_POINTS:
         raise ValidationError("--range", "%r has more than %d points" % (text, MAX_SWEEP_POINTS))

@@ -82,56 +82,42 @@ def run_year(profiles, scheduler="green_aware", job_energy_wh=1.0, jobs_per_hour
     )
 
 
-def _sweep_cells(cells):
-    """Run (label, kwargs) cells, each as two run_year calls, in order."""
-    return [
-        (
-            label,
-            run_year(scheduler="green_aware", **kwargs).r_avg,
-            run_year(scheduler="round_robin", **kwargs).r_avg,
-        )
-        for label, kwargs in cells
-    ]
-
-
 def sweep_k(profiles, k_values, jobs_per_hour=900, hours=None):
     """r_avg of both schedulers for each per-job energy value."""
-    cells = [
-        (k, dict(profiles=profiles, job_energy_wh=k, jobs_per_hour=jobs_per_hour, hours=hours))
+    return [
+        (
+            k,
+            run_year(profiles, "green_aware", k, jobs_per_hour, hours).r_avg,
+            run_year(profiles, "round_robin", k, jobs_per_hour, hours).r_avg,
+        )
         for k in k_values
     ]
-    return _sweep_cells(cells)
 
 
 def sweep_load(profiles, load_values, job_energy_wh=1.0, hours=None):
     """r_avg of both schedulers for each jobs-per-hour value."""
-    cells = [
-        (j, dict(profiles=profiles, job_energy_wh=job_energy_wh, jobs_per_hour=j, hours=hours))
+    return [
+        (
+            j,
+            run_year(profiles, "green_aware", job_energy_wh, j, hours).r_avg,
+            run_year(profiles, "round_robin", job_energy_wh, j, hours).r_avg,
+        )
         for j in load_values
     ]
-    return _sweep_cells(cells)
 
 
-def metrics_csv_text(reports):
-    """Hourly metrics rows for one or more year reports, stable formatting."""
-    reports = list(reports)
-    if not reports:
-        raise ValidationError("reports", "need at least one report")
-    m = reports[0].per_dc_load.shape[1]
-    for rep in reports:
-        if rep.per_dc_load.shape[1] != m:
-            raise ValidationError("reports", "reports cover different fleet sizes")
-    header = "hour,scheduler,k,jobs,n_g,r," + ",".join(f"dc_{d}" for d in range(m))
-    lines = [header]
-    for rep in reports:
-        fixed = "%s,%g,%d" % (rep.scheduler.replace("%", "%%"), rep.job_energy_wh, rep.jobs_per_hour)
-        row = "%d," + fixed + ",%.6f,%.6f," + ",".join(["%d"] * m)
-        lines += [
-            row % (h, n_g, r, *loads)
-            for h, n_g, r, loads in zip(
-                range(rep.hours), rep.green_jobs.tolist(), rep.ratio.tolist(), rep.per_dc_load.tolist()
-            )
-        ]
+def metrics_csv_text(report):
+    """Hourly metrics rows of one year report, stable formatting."""
+    m = report.per_dc_load.shape[1]
+    lines = ["hour,scheduler,k,jobs,n_g,r," + ",".join(f"dc_{d}" for d in range(m))]
+    fixed = "%s,%.15g,%d" % (report.scheduler.replace("%", "%%"), report.job_energy_wh, report.jobs_per_hour)
+    row = "%d," + fixed + ",%.6f,%.6f," + ",".join(["%d"] * m)
+    lines += [
+        row % (h, n_g, r, *loads)
+        for h, n_g, r, loads in zip(
+            range(report.hours), report.green_jobs.tolist(), report.ratio.tolist(), report.per_dc_load.tolist()
+        )
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -139,5 +125,5 @@ def sweep_csv_text(rows):
     """Sweep results CSV: one row per swept value."""
     lines = ["k_or_load,r_avg_green,r_avg_rr"]
     for value, r_green, r_rr in rows:
-        lines.append("%g,%.6f,%.6f" % (value, r_green, r_rr))
+        lines.append("%.15g,%.6f,%.6f" % (value, r_green, r_rr))
     return "\n".join(lines) + "\n"

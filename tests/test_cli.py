@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ from grasp.cli import main
 from grasp.datafiles import data_path
 from grasp.errors import ValidationError
 from grasp.netsim import run_scenario
+from grasp.svgchart import line_chart
 
 
 def run_cli(*argv):
@@ -155,13 +157,17 @@ def test_the_benchmark_tracer_still_counts_what_it_wraps(tmp_path, monkeypatch, 
         assert main(["scenario", "--scenario", data_path("scenario_geni_1h.json")]) == 0
         assert main(["run", "--energy-dir", data_path("sites"), "--hours", "24",
                      "--out", str(tmp_path / "metrics.csv")]) == 0
+        assert main(["sweep", "--mode", "k", "--range", "1:191:190", "--energy-dir", data_path("sites"),
+                     "--hours", "24", "--out", str(tmp_path / "sweep.csv"), "--svg", str(tmp_path / "sweep.svg")]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
     counts = tracer.counts
     assert counts["netsim.events.flow_open"] == 10
     assert counts["controller.packet_in.request"] == 10
-    assert counts["experiment.run_year.calls"] > 0
+    assert counts["experiment.sweep.cells"] == 2
+    # one for the run, then both schedulers at each of the sweep's two k values
+    assert counts["experiment.run_year.calls"] == 5
 
 
 def test_a_failed_scenario_leaves_no_trace_file(tmp_path, capsys, monkeypatch):
@@ -375,6 +381,25 @@ def test_sweep_chart_of_one_point_draws_it_at_the_left_edge(tmp_path):
     assert len(lines) == 2 and all(len(points) == 1 and points[0][0] == 64.0 for points in lines)
 
 
+@pytest.mark.parametrize("xs", [[1e17], [1.0, 1.0000000000000002]])
+def test_chart_of_an_x_axis_narrower_than_rounding_is_drawn(xs):
+    # `sweep --mode k --svg` draws such axes for --range 1e17:1e17:1 and
+    # 1:1.0000000000000002:2.220446049250313e-16; ticks advance by adding a
+    # step to a float, which these axes would lose, so the timer stops a
+    # chart that never finishes before its tick list grows large
+    def spin(*_):
+        raise TimeoutError("line_chart did not finish")
+
+    old = signal.signal(signal.SIGALRM, spin)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    try:
+        svg = line_chart(xs, [("a", [0.5] * len(xs))], "t", "x", "y")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert polylines(svg)[0][0][0] == 64.0
+
+
 def test_sweep_chart_of_no_green_energy_draws_flat_series(tmp_path):
     sites = tmp_path / "zero"
     sites.mkdir()
@@ -438,6 +463,57 @@ def test_sweep_rejects_ranges_it_cannot_step(tmp_path, capsys, text, problem):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: --range: " + problem)
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("text, points, last", [
+    ("1:200:10", 20, 191),
+    ("1:191:190", 2, 191),
+    ("100:900:200", 5, 900),
+    # end - start comes out 1.6e-16 below 1e-7, 1.6e-9 of a step short of one
+    ("1.0000001:1.0000002:0.0000001", 2, 1.0000002),
+])
+def test_range_includes_its_end(text, points, last):
+    values = cli._parse_range(text)
+    assert len(values) == points
+    assert values[-1] == pytest.approx(last, rel=1e-15)
+
+
+def test_sweep_labels_each_k_in_full(tmp_path):
+    out = tmp_path / "k.csv"
+    assert run_cli("sweep", "--mode", "k", "--range", "1.0000001:1.0000002:0.0000001", "--energy-dir",
+                   data_path("sites"), "--hours", "24", "--out", str(out)) == 0
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["1.0000001", "1.0000002"]
+
+
+def test_sweep_labels_each_load_in_full(tmp_path):
+    out, svg = tmp_path / "load.csv", tmp_path / "load.svg"
+    assert run_cli("sweep", "--mode", "load", "--range", "1234567:1234568:1", "--energy-dir", data_path("sites"),
+                   "--hours", "24", "--out", str(out), "--svg", str(svg)) == 0
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["1234567", "1234568"]
+    # x tick labels sit 18 px below the plot, whose bottom edge is at 412 px
+    ticks = re.findall(r'<text x="[^"]*" y="430" text-anchor="middle">([^<]*)</text>', svg.read_text())
+    assert ticks == ["1234567", "1234567.2", "1234567.4", "1234567.6", "1234567.8", "1234568"]
+
+
+def test_run_prints_k_in_full(tmp_path, capsys):
+    out = tmp_path / "metrics.csv"
+    assert run_cli("run", "--energy-dir", data_path("sites"), "--k", "1234567", "--hours", "24",
+                   "--out", str(out)) == 0
+    assert capsys.readouterr().out.startswith("scheduler=green_aware k=1234567 jobs_per_hour=900 hours=24 dcs=9\n")
+    assert {line.split(",")[2] for line in out.read_text().splitlines()[1:]} == {"1234567"}
+
+
+@pytest.mark.parametrize("flag, value", [("--jobs-per-hour", "0"), ("--hours", "-1"), ("--k", "0")])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_flags_that_must_be_positive_are_refused(tmp_path, capsys, monkeypatch, command, flag, value):
+    monkeypatch.chdir(tmp_path)
+    argv = ["run"]
+    if command == "sweep":
+        # each mode refuses the flag its range sweeps, so sweep the other one
+        argv = ["sweep", "--mode", "load" if flag == "--k" else "k", "--range", "1:2:1", "--out", "never.csv"]
+    assert run_cli(*argv, "--energy-dir", data_path("sites"), flag + "=" + value) == 1
+    assert capsys.readouterr().err == "error: %s: must be > 0\n" % flag
+    assert not (tmp_path / "never.csv").exists()
 
 
 @pytest.mark.parametrize("mode, swept, value", [("k", "--k", "5"), ("load", "--jobs-per-hour", "300")])
