@@ -80,47 +80,26 @@ def test_criterion_3_load_monotonicity(site_profiles):
     )
 
 
-def brute_force_ng(caps, jobs):
-    """Best n_g over every one of the m^jobs assignment sequences."""
-    m = len(caps)
-    total = m**jobs
-    idx = np.arange(total)
-    counts = np.zeros((total, m), dtype=np.int64)
-    for _ in range(jobs):
-        idx, digit = np.divmod(idx, m)
-        counts[np.arange(total), digit] += 1
-    return float(np.minimum(counts, caps).sum(axis=1).max()) if jobs else 0.0
-
-
-def test_criterion_4_greedy_matches_brute_force():
+def test_criterion_4_greedy_matches_brute_force(brute_force_ng):
     from grasp._kernels import greedy_hour
 
-    start = time.perf_counter()
-    instances = []
     rng = np.random.default_rng(2024)
+    start = time.perf_counter()
+    failures = 0
     for _ in range(200):
         m = int(rng.integers(1, 4))
         jobs = int(rng.integers(0, 11))
-        instances.append((rng.integers(0, 4 * (jobs + 2), size=m) / 4.0, jobs))
-    rng = np.random.default_rng(7)
-    for _ in range(60):
-        m = int(rng.integers(1, 4))
-        jobs = int(rng.integers(0, 9))
-        instances.append((np.round(rng.uniform(0.0, jobs + 1, size=m), 1), jobs))
-    failures = 0
-    for caps, jobs in instances:
+        # quarter-Wh caps are exact in float64, so equality can be exact too
+        caps = rng.integers(0, 4 * (jobs + 2), size=m) / 4.0
         loads = greedy_hour(caps, jobs)
         got = float(np.minimum(caps, loads).sum())
-        # n_g sums caps and whole jobs, so a worse placement falls at least
-        # 0.1 short; 0.1-Wh caps are inexact in float64, so equally good
-        # placements may part in the last bits
-        if loads.sum() != jobs or abs(got - brute_force_ng(caps, jobs)) > 1e-9:
+        if loads.sum() != jobs or got != brute_force_ng(caps, jobs):
             failures += 1
     took = time.perf_counter() - start
     check(
         failures == 0 and took < 10.0,
-        "criterion 4: greedy n_g equals the brute-force optimum on %d random "
-        "instances, quarter-Wh and 0.1-Wh caps (%d mismatches, %.2f s)" % (len(instances), failures, took),
+        "criterion 4: greedy n_g equals the brute-force optimum on 200 random "
+        "instances (%d mismatches, %.2f s)" % (failures, took),
     )
 
 

@@ -65,6 +65,23 @@ def test_run_year_rejects_overflowing_capacity(k):
     assert run_year(const_profiles(0.0), job_energy_wh=k, hours=2).r_avg == 0.0
 
 
+def test_greedy_hour_is_optimal_small(brute_force_ng):
+    from grasp._kernels import greedy_hour
+
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        m = int(rng.integers(1, 4))
+        jobs = int(rng.integers(0, 9))
+        caps = np.round(rng.uniform(0.0, jobs + 1, size=m), 1)
+        loads = greedy_hour(caps, jobs)
+        assert loads.sum() == jobs
+        got = float(np.minimum(caps, loads).sum())
+        # n_g sums caps and whole jobs, so a worse placement falls at least
+        # 0.1 short; 0.1-Wh caps are inexact in float64, so equally good
+        # placements may part in the last bits
+        assert got == pytest.approx(brute_force_ng(caps, jobs), abs=1e-9)
+
+
 def test_sweeps(site_profiles):
     ks = [1.0, 4.0]
     rows = sweep_k(site_profiles, ks, jobs_per_hour=90, hours=48)
