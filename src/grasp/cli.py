@@ -70,20 +70,12 @@ def _load_run_config(args, scheduler=None):
             raise ValidationError("--k", "must be a finite number")
         _positive("--k", args.k)
     config = load_config(args.config) if args.config else ControllerConfig()
-    return config.with_overrides(scheduler=scheduler, job_energy_wh=args.k)
-
-
-def _profiles_for(args, config):
-    profiles = load_profiles_dir(args.energy_dir, config)
-    if getattr(args, "topology", None):
-        topo = load_topology(args.topology)
-        if len(topo.datacenters) != len(profiles):
-            raise ValidationError(
-                "--energy-dir",
-                "%d profiles for %d datacenters in %s"
-                % (len(profiles), len(topo.datacenters), args.topology),
-            )
-    return profiles
+    # argparse limits --scheduler to the known names and --k is checked above
+    if scheduler is not None:
+        config.scheduler = scheduler
+    if args.k is not None:
+        config.job_energy_wh = args.k
+    return config
 
 
 def cmd_run(args):
@@ -92,7 +84,7 @@ def cmd_run(args):
     hours = args.hours
     if hours is not None:
         _positive("--hours", hours)
-    profiles = _profiles_for(args, config)
+    profiles = load_profiles_dir(args.energy_dir, config)
     report = run_year(
         profiles,
         scheduler=config.scheduler,
@@ -136,7 +128,11 @@ def _parse_range(text):
     # every point runs two scheduler years; a longer range is a typo, not a sweep
     if not steps < MAX_SWEEP_POINTS:
         raise ValidationError("--range", "%r has more than %d points" % (text, MAX_SWEEP_POINTS))
-    return [start + i * step for i in range(math.floor(steps) + 1)]
+    values = [start + i * step for i in range(math.floor(steps) + 1)]
+    # a step below the spacing of floats near the values rounds several points onto one
+    if len(set(values)) < len(values):
+        raise ValidationError("--range", "%r repeats points: its step is finer than floats near its values" % text)
+    return values
 
 
 def cmd_sweep(args):
@@ -149,7 +145,7 @@ def cmd_sweep(args):
     if args.hours is not None:
         _positive("--hours", args.hours)
     values = _parse_range(args.range)
-    profiles = _profiles_for(args, config)
+    profiles = load_profiles_dir(args.energy_dir, config)
     if args.mode == "k":
         if any(v <= 0 for v in values):
             raise ValidationError("--range", "k values must be > 0")
@@ -225,7 +221,12 @@ def cmd_validate(args):
         )
     if args.energy:
         if os.path.isdir(args.energy):
-            detail = "%d profiles" % len(load_profiles_dir(args.energy, config))
+            count = len(load_profiles_dir(args.energy, config))
+            if args.topology and count != len(topo.datacenters):
+                raise ValidationError(
+                    "--energy", "%d profiles for %d datacenters in %s" % (count, len(topo.datacenters), args.topology)
+                )
+            detail = "%d profiles" % count
         else:
             profile = load_site_csv(args.energy, config)
             detail = "site %s, %d hours" % (profile.site, len(profile.wh))
@@ -239,7 +240,6 @@ def build_parser():
 
     p = sub.add_parser("run", help="run one scheduler over hourly profiles")
     p.add_argument("--energy-dir", required=True, help="directory of per-site hourly CSVs")
-    p.add_argument("--topology", help="optional topology JSON, checked against profile count")
     p.add_argument("--config", help="controller config JSON")
     p.add_argument("--scheduler", choices=SCHEDULER_NAMES, help="override config scheduler")
     p.add_argument("--k", type=float, help="override energy per job in Wh")
@@ -252,7 +252,6 @@ def build_parser():
     p.add_argument("--mode", choices=("k", "load"), required=True)
     p.add_argument("--range", required=True, help="start:end:step, inclusive")
     p.add_argument("--energy-dir", required=True)
-    p.add_argument("--topology")
     p.add_argument("--config")
     p.add_argument("--k", type=float, help="energy per job for load mode")
     p.add_argument("--jobs-per-hour", type=int, help="load for k mode, default 900")
@@ -274,7 +273,7 @@ def build_parser():
     p.set_defaults(func=cmd_gen_energy)
 
     p = sub.add_parser("validate", help="check inputs without running")
-    p.add_argument("--topology")
+    p.add_argument("--topology", help="topology JSON; with an --energy directory, one profile per data center")
     p.add_argument("--config")
     p.add_argument("--energy", help="profile/weather CSV or directory of them")
     p.set_defaults(func=cmd_validate)

@@ -106,6 +106,11 @@ def match_text(src, dst):
     return f"{left}->{right}"
 
 
+def _flow_name(pkt):
+    """A client packet's flow, as the trace names it."""
+    return str(pkt.payload["flow_id"]) if "flow_id" in pkt.payload else format_ip(pkt.ip_src)
+
+
 class Controller:
     def __init__(self, config, seed=0, emit=None):
         self.config = config
@@ -193,6 +198,10 @@ class Controller:
             return self._handle_discover(pkt_in, now)
         if pkt.kind == "register":
             return self._handle_register(pkt_in, now)
+        if pkt.kind == "response":  # a data center's reply whose reverse rule expired: no job to place
+            if self.emit is not None:
+                self.emit("t=%.3f ev=drop reason=stray_response flow=%s" % (now, _flow_name(pkt)))
+            return ControllerResponse(dropped="stray_response")
         # anything else is client traffic asking for a placement
         return self._handle_request(pkt_in, now)
 
@@ -289,8 +298,8 @@ class Controller:
     def _handle_request(self, pkt_in, now):
         pkt = pkt_in.packet
         emit = self.emit
-        if emit is not None:  # the flow's name in the trace
-            flow_id = str(pkt.payload["flow_id"]) if "flow_id" in pkt.payload else format_ip(pkt.ip_src)
+        if emit is not None:
+            flow_id = _flow_name(pkt)
         if not self.dcs:
             if emit is not None:
                 emit("t=%.3f ev=drop reason=no_datacenter flow=%s" % (now, flow_id))

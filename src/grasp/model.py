@@ -10,7 +10,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
@@ -293,15 +293,6 @@ class ControllerConfig:
     nsrdb_temp_column: str = "dry_bulb_c"
     nsrdb_ghi_column: str = "ghi_whm2"
     panel: PanelConfig = field(default_factory=PanelConfig)
-
-    def with_overrides(self, scheduler=None, job_energy_wh=None):
-        cfg = replace(self)
-        if scheduler is not None:
-            cfg.scheduler = scheduler
-        if job_energy_wh is not None:
-            cfg.job_energy_wh = job_energy_wh
-        validate_config(cfg)
-        return cfg
 
 
 def validate_config(cfg):

@@ -247,7 +247,6 @@ class SimReport:
     deliveries: list  # (flow_id, dc_id, time) in delivery order
     packet_in_count: int
     auth_failures: int
-    client_rx: dict  # client name -> list of received packets
     controller: Controller
 
 
@@ -270,7 +269,6 @@ class Simulation:
         self._fifo = deque()  # (kind, payload) scheduled at `_now`, in order
         self._agents = {}  # dc NodeId -> agent runtime state
         self.deliveries = []
-        self.client_rx = {a.name: [] for a in topology.clients}
         self.horizon = 0.0
 
     def schedule(self, time, kind, payload=None):
@@ -331,18 +329,13 @@ class Simulation:
         mac, ip, switch, port = self._hosts[node]
         self.schedule(now, "deliver", (switch, port, Packet(kind, mac, eth_dst, ip, ip_dst, payload)))
 
-    def _attachment(self, node):
-        group = self.topology.datacenters if node.kind == DATACENTER else self.topology.clients
-        return group[node.index]
-
     def _deliver(self, now, arrival):
         node, in_port, packet = arrival
         if node.kind == SWITCH:
             self._switch_rx(now, node, in_port, packet)
         elif node.kind == DATACENTER:
             self._dc_rx(now, node, packet)
-        else:
-            self.client_rx[self._attachment(node).name].append(packet)
+        # a client acts on nothing it receives
 
     def _switch_rx(self, now, switch, in_port, packet):
         rule = self.tables[switch.index].lookup(packet, now)
@@ -388,7 +381,8 @@ class Simulation:
 
     def _agent_register(self, now, script):
         self._agents[script.node] = {"script": script, "dc_id": None}
-        self._emit_from_host(now, script.node, "register", {"name": self._attachment(script.node).name})
+        name = self.topology.datacenters[script.node.index].name
+        self._emit_from_host(now, script.node, "register", {"name": name})
 
     def _agent_report(self, now, node):
         agent = self._agents[node]  # a report is scheduled only once the register_ack is in
@@ -482,7 +476,6 @@ class Simulation:
             deliveries=self.deliveries,
             packet_in_count=self.controller.packet_in_count,
             auth_failures=self.controller.auth_failures,
-            client_rx=self.client_rx,
             controller=self.controller,
         )
 

@@ -2,7 +2,9 @@ import hashlib
 import json
 import math
 import os
+import pathlib
 import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -12,8 +14,10 @@ import pytest
 import grasp
 from grasp import cli, netsim
 from grasp.cli import main
-from grasp.datafiles import data_path
+from grasp.datafiles import data_path, load_profiles_dir
 from grasp.errors import ValidationError
+from grasp.experiment import run_year
+from grasp.model import load_config
 from grasp.netsim import run_scenario
 from grasp.svgchart import line_chart
 
@@ -25,8 +29,7 @@ def run_cli(*argv):
 def test_run_writes_metrics(tmp_path, capsys):
     out = tmp_path / "metrics.csv"
     code = run_cli(
-        "run", "--energy-dir", data_path("sites"), "--topology", data_path("geni.topo.json"),
-        "--k", "1", "--hours", "24", "--out", str(out),
+        "run", "--energy-dir", data_path("sites"), "--k", "1", "--hours", "24", "--out", str(out),
     )
     assert code == 0
     printed = capsys.readouterr().out
@@ -46,7 +49,7 @@ def test_run_is_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_run_rejects_profile_topology_mismatch(tmp_path):
+def test_validate_refuses_profile_topology_mismatch(tmp_path, capsys):
     topo = {
         "switches": ["s"],
         "links": [],
@@ -55,8 +58,27 @@ def test_run_rejects_profile_topology_mismatch(tmp_path):
     }
     p = tmp_path / "small.topo.json"
     p.write_text(json.dumps(topo))
-    code = run_cli("run", "--energy-dir", data_path("sites"), "--topology", str(p))
-    assert code == 1
+    assert run_cli("validate", "--topology", str(p), "--energy", data_path("sites")) == 1
+    assert capsys.readouterr().err == "error: --energy: 9 profiles for 1 datacenters in %s\n" % p
+    # run and sweep read no topology
+    for argv in (["run", "--energy-dir", data_path("sites")],
+                 ["sweep", "--mode", "k", "--range", "1:2:1", "--energy-dir", data_path("sites"),
+                  "--out", str(tmp_path / "x.csv")]):
+        with pytest.raises(SystemExit) as err:
+            run_cli(*argv, "--topology", str(p))
+        assert err.value.code == 1
+
+
+def test_run_flags_override_the_config_file(tmp_path, capsys):
+    path = tmp_path / "controller.json"
+    path.write_text(json.dumps({"scheduler": "round_robin", "job_energy_wh": 2.0, "panel": {"area_m2": 3.0}}))
+    assert run_cli("run", "--energy-dir", data_path("sites"), "--config", str(path),
+                   "--scheduler", "green_aware", "--k", "3", "--hours", "48") == 0
+    # the flags win, and the file's panel still shapes the profiles
+    profiles = load_profiles_dir(data_path("sites"), load_config(path))
+    r_avg = run_year(profiles, scheduler="green_aware", job_energy_wh=3.0, jobs_per_hour=900, hours=48).r_avg
+    assert "%.6f" % r_avg == "0.117179"
+    assert capsys.readouterr().out == "scheduler=green_aware k=3 jobs_per_hour=900 hours=48 dcs=9\nr_avg=0.117179\n"
 
 
 def test_sweep_k_with_chart(tmp_path):
@@ -241,8 +263,11 @@ def test_validate_bundled_inputs(capsys):
         "--config", data_path("controller.json"), "--energy", data_path("sites"),
     )
     assert code == 0
-    printed = capsys.readouterr().out
-    assert printed.count("OK ") == 3
+    assert capsys.readouterr().out == (
+        "OK %s (config)\n" % data_path("controller.json")
+        + "OK %s (3 switches, 9 datacenters, 6 clients)\n" % data_path("geni.topo.json")
+        + "OK %s (9 profiles)\n" % data_path("sites")
+    )
 
 
 def test_validate_single_file_uses_the_run_loader(tmp_path, capsys):
@@ -427,6 +452,9 @@ def test_usage_errors_exit_one():
         run_cli("sweep", "--mode", "k", "--range", "1:2:1", "--energy-dir", "x",
                 "--out", "y", "--scheduler", "round_robin")
     assert err.value.code == 1
+    with pytest.raises(SystemExit) as err:
+        run_cli("run", "--energy-dir", "x", "--scheduler", "fifo")
+    assert err.value.code == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -453,6 +481,9 @@ BAD_K_RANGES = {
     "1:2:0": "step must be > 0",
     "2:1:1": "end below start",
     "0:1:1": "k values must be > 0",
+    # steps below the float spacing near the values: 33 points, 3 distinct, and 12, 6 distinct
+    "1e17:100000000000000032:1": "'1e17:100000000000000032:1' repeats points",
+    "1:1.000000000000001:0.0000000000000001": "'1:1.000000000000001:0.0000000000000001' repeats points",
 }
 
 
@@ -555,3 +586,23 @@ def test_validate_refuses_retired_keys_at_other_values(tmp_path, capsys, retired
     config.update({"parameters": ["green_energy_wh"], "weights": [1.0]})
     path.write_text(json.dumps(config))
     assert run_cli("validate", "--config", str(path)) == 0
+
+
+def readme_commands():
+    """The `grasp` commands of the README's "Command line" block, with
+    continuation lines joined, each as an argument list."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("grasp ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {"run", "sweep", "scenario", "gen-energy", "validate"}
+    monkeypatch.chdir(tmp_path)
+    prefix = "src/grasp/data/"
+    for argv in commands:
+        argv = [data_path(*a[len(prefix):].split("/")) if a.startswith(prefix) else a for a in argv]
+        assert run_cli(*argv) == 0, argv
+    assert capsys.readouterr().err == ""

@@ -339,15 +339,6 @@ def test_config_panel_and_nsrdb_overrides():
     assert cfg.nsrdb_ghi_column == "GHI"
 
 
-def test_config_with_overrides_validates():
-    cfg = ControllerConfig()
-    out = cfg.with_overrides(scheduler="round_robin", job_energy_wh=2.0)
-    assert (out.scheduler, out.job_energy_wh) == ("round_robin", 2.0)
-    assert (cfg.scheduler, cfg.job_energy_wh) == ("green_aware", 1.0)
-    with pytest.raises(ValidationError):
-        cfg.with_overrides(scheduler="fifo")
-
-
 def test_bundled_config_loads(tmp_path):
     cfg = load_config(data_path("controller.json"))
     assert cfg.scheduler == "green_aware"

@@ -22,7 +22,7 @@ from grasp.cli import main as cli_main
 from grasp.controller import FlowMod, Packet, match_text
 from grasp.datafiles import data_path
 from grasp.errors import GraspError, ValidationError
-from grasp.model import SWITCH, NodeId, config_from_dict, read_json, topology_from_dict
+from grasp.model import CLIENT, SWITCH, NodeId, config_from_dict, read_json, topology_from_dict
 from grasp import netsim
 from grasp.netsim import FlowTable, Simulation, idle_deadline, load_scenario, run_scenario
 
@@ -106,7 +106,7 @@ def test_rules_resolve_their_actions_at_install():
                                "datacenters": [{"name": "d", "switch": "s", "port": 1}],
                                "clients": [{"name": "c", "switch": "s", "port": 2}]})
     lines = []
-    sim = Simulation(topo, config_from_dict({}), emit=lines.append)
+    sim = Recording(topo, config_from_dict({}), emit=lines.append)
     rewrite_ip = FlowMod(SW, 10, 1, None, (("set_ip_dst", 7), ("output", 2)), 0.0)
     punt = FlowMod(SW, 10, 3, None, (("controller",),), 0.0)
     for m in (rewrite_ip, punt):
@@ -117,7 +117,7 @@ def test_rules_resolve_their_actions_at_install():
     sim.schedule(1.0, "deliver", (SW, 1, Packet("data", 5, 0xAB, 3, 2)))
     sim.run(2.0)
     # only ip_dst is rewritten: the packet keeps its eth_dst
-    assert [p for p in sim.client_rx["c"] if p.kind == "data"] == [Packet("data", 5, 0xAB, 1, 7)]
+    assert [p for p in sim.received["c"] if p.kind == "data"] == [Packet("data", 5, 0xAB, 1, 7)]
     assert "t=1.000 ev=packet_in sw=s0 port=1 kind=data src=0.0.0.3" in lines
     assert sim.controller.packet_in_count == 1
 
@@ -225,9 +225,35 @@ def traced(runner, scen, seed=0):
     return runner(scen, seed=seed, emit=lines.append), lines
 
 
+class Recording(Simulation):
+    """Keeps each packet a host receives, by host name, and hands them on
+    in its report as `received`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.received = collections.defaultdict(list)
+
+    def _deliver(self, now, arrival):
+        node, _, packet = arrival
+        if node.kind != SWITCH:
+            hosts = self.topology.clients if node.kind == CLIENT else self.topology.datacenters
+            self.received[hosts[node.index].name].append(packet)
+        super()._deliver(now, arrival)
+
+    def report(self):
+        rep = super().report()
+        rep.received = dict(self.received)
+        return rep
+
+
+def run_recording(scen, seed=0, emit=None):
+    with mock.patch.object(netsim, "Simulation", Recording):
+        return run_scenario(scen, seed=seed, emit=emit)
+
+
 @pytest.fixture(scope="module")
 def geni_hour_traced():
-    return traced(run_scenario, scenario_path())
+    return traced(run_recording, scenario_path())
 
 
 @pytest.fixture(scope="module")
@@ -297,7 +323,7 @@ def test_scenario_snapshots_and_expiry(geni_hour_traced):
 
 
 def test_scenario_responses_reach_clients(geni_hour):
-    rx = geni_hour.client_rx["c1"]
+    rx = geni_hour.received["c1"]
     responses = [p for p in rx if p.kind == "response"]
     assert [p.payload["flow_id"] for p in responses] == ["f1", "f2"]
 
@@ -321,12 +347,12 @@ def tiny_scenario(**overrides):
 
 
 def test_inline_scenario_fast_path():
-    rep = run_scenario(tiny_scenario(), seed=0)
+    rep = run_recording(tiny_scenario(), seed=0)
     # one register, one request; the data packets ride the installed rule
     assert rep.packet_in_count == 2
     assert rep.per_dc_jobs.tolist() == [1]
     assert rep.deliveries == [("t1", 0, 2.0)]
-    responses = [p for p in rep.client_rx["cl"] if p.kind == "response"]
+    responses = [p for p in rep.received["cl"] if p.kind == "response"]
     assert len(responses) == 1
 
 
@@ -341,15 +367,8 @@ def test_first_packet_reaches_the_datacenter_rewritten(hops):
         "datacenters": [{"name": "dc", "switch": switches[-1], "port": 1}],
         "clients": [{"name": "cl", "switch": switches[0], "port": 2}],
     })
-    received = []
-
-    class Recording(Simulation):
-        def _dc_rx(self, now, node, packet):
-            received.append(packet)
-            super()._dc_rx(now, node, packet)
-
-    with mock.patch.object(netsim, "Simulation", Recording):
-        rep = run_scenario(scen, seed=0)
+    rep = run_recording(scen, seed=0)
+    received = rep.received["dc"]
     dc = rep.controller.dcs[0]
     first = next(p for p in received if p.kind == "request")
     assert (first.eth_dst, first.ip_dst, first.payload["flow_id"]) == (dc.mac, dc.ip, "t1")
@@ -390,6 +409,28 @@ def test_reopened_flow_hits_controller_again():
     assert rep.per_dc_jobs.tolist() == [3]
     expired = [line for line in trace if "ev=expire" in line and "10.2.0.1" in line]
     assert expired  # the client rules aged out in between
+
+
+def test_a_response_that_punts_is_dropped_not_placed():
+    # f2 rides f1's forward rule, which f1's data at 5.0 kept live; the
+    # reverse rule, last hit by f1's response at 2.0, expired at 4.0, so
+    # the data center's response to f2 punts
+    scen = tiny_scenario()
+    scen["clients"] = [{"client": "cl", "flows": [
+        {"id": "f1", "open_at": 2.0, "data_at": [3.5, 5.0]},
+        {"id": "f2", "open_at": 6.0},
+    ]}]
+    rep, trace = traced(run_recording, scen)
+    assert [line for line in trace if " ev=decision " in line] == [
+        "t=2.000 ev=decision flow=f1 dc=d0 sw=s0 score=0.000000"]
+    assert rep.controller.sched.assigned == [1]
+    assert "t=6.000 ev=packet_in sw=s0 port=1 kind=response src=10.1.0.1" in trace
+    assert "t=6.000 ev=drop reason=stray_response flow=f2" in trace
+    assert rep.deliveries == [("f1", 0, 2.0), ("f2", 0, 6.0)]
+    # no rule is built for the data center's address: its response is not sent back to it
+    assert [p.payload["flow_id"] for p in rep.received["cl"] if p.kind == "response"] == ["f1"]
+    assert [(p.kind, p.payload["flow_id"]) for p in rep.received["dc"] if "flow_id" in p.payload] == [
+        ("request", "f1"), ("data", "f1"), ("data", "f1"), ("request", "f2")]
 
 
 def test_rate_workload_and_hour_reset():
@@ -811,7 +852,7 @@ def test_fuzzed_bundled_inputs_fail_cleanly(name, load, flag, data):
     assert cli_exit_code(["validate"], flag, doc) in (0, 1, 2)
 
 
-class EverySecond(Simulation):
+class EverySecond(Recording):
     """The per-second loop that lazy deadlines replace: at every whole second
     below the horizon, before any event of that instant, sweep every flow
     table in switch order, then end the hour on a boundary.  It leaves
@@ -851,7 +892,7 @@ def run_every_second(scen, seed=0, emit=None):
 def same_run(a, b):
     """Whether two `traced` runs have the same trace and outcome."""
     (ra, la), (rb, lb) = a, b
-    return (la, ra.deliveries, ra.client_rx) == (lb, rb.deliveries, rb.client_rx)
+    return (la, ra.deliveries, ra.received) == (lb, rb.deliveries, rb.received)
 
 
 def first_due_second(last_hit, timeout, horizon):
@@ -905,7 +946,7 @@ def test_idle_deadline_terminates_at_any_magnitude():
 def test_huge_idle_timeout_finishes_at_once():
     scen = tiny_scenario(config={"flow_idle_timeout": 1e17}, horizon=3700.0)
     start = time.perf_counter()
-    lazy = traced(run_scenario, scen)
+    lazy = traced(run_recording, scen)
     took = time.perf_counter() - start
     assert took < 0.5
     assert same_run(lazy, traced(run_every_second, scen))
@@ -979,7 +1020,7 @@ def small_scenarios(draw):
 @settings(max_examples=120, deadline=None)
 @given(scen=small_scenarios())
 def test_lazy_ticks_match_every_second_sweep(scen):
-    assert same_run(traced(run_scenario, scen), traced(run_every_second, scen))
+    assert same_run(traced(run_recording, scen), traced(run_every_second, scen))
 
 
 def test_rate_flows_stop_at_the_horizon():
