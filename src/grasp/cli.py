@@ -18,7 +18,7 @@ import sys
 import tempfile
 
 from .datafiles import load_profiles_dir, load_site_csv
-from .energy import SYNTH_SHAPES, profile_csv_text, synth_profile
+from .energy import HOURS_PER_YEAR, SYNTH_SHAPES, profile_csv_text, synth_profile
 from .errors import GraspError, ValidationError
 from .experiment import metrics_csv_text, run_year, sweep_csv_text, sweep_k, sweep_load
 from .model import SCHEDULER_NAMES, ControllerConfig, load_config, load_topology
@@ -64,6 +64,13 @@ def _positive(flag, value):
     return value
 
 
+def _hours(value):
+    """--hours, if given, within one profile year."""
+    if value is not None and not 1 <= value <= HOURS_PER_YEAR:
+        raise ValidationError("--hours", f"must be within 1..{HOURS_PER_YEAR}")
+    return value
+
+
 def _load_run_config(args, scheduler=None):
     if args.k is not None:
         if not math.isfinite(args.k):
@@ -81,9 +88,7 @@ def _load_run_config(args, scheduler=None):
 def cmd_run(args):
     config = _load_run_config(args, args.scheduler)
     _positive("--jobs-per-hour", args.jobs_per_hour)
-    hours = args.hours
-    if hours is not None:
-        _positive("--hours", hours)
+    hours = _hours(args.hours)
     profiles = load_profiles_dir(args.energy_dir, config)
     report = run_year(
         profiles,
@@ -142,8 +147,7 @@ def cmd_sweep(args):
         raise ValidationError(flag, "--mode %s sweeps it: give its values in --range" % args.mode)
     config = _load_run_config(args)
     jobs_per_hour = 900 if args.jobs_per_hour is None else _positive("--jobs-per-hour", args.jobs_per_hour)
-    if args.hours is not None:
-        _positive("--hours", args.hours)
+    _hours(args.hours)
     values = _parse_range(args.range)
     profiles = load_profiles_dir(args.energy_dir, config)
     if args.mode == "k":

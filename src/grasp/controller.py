@@ -198,11 +198,12 @@ class Controller:
             return self._handle_discover(pkt_in, now)
         if pkt.kind == "register":
             return self._handle_register(pkt_in, now)
-        if pkt.kind == "response":  # a data center's reply whose reverse rule expired: no job to place
+        if pkt.kind != "request":
+            # a data center's response or a client's data packet whose rule
+            # expired, or any other kind: no job to place
             if self.emit is not None:
-                self.emit("t=%.3f ev=drop reason=stray_response flow=%s" % (now, _flow_name(pkt)))
-            return ControllerResponse(dropped="stray_response")
-        # anything else is client traffic asking for a placement
+                self.emit("t=%.3f ev=drop reason=stray_%s flow=%s" % (now, pkt.kind, _flow_name(pkt)))
+            return ControllerResponse(dropped="stray_" + pkt.kind)
         return self._handle_request(pkt_in, now)
 
     def _handle_discover(self, pkt_in, now):

@@ -28,7 +28,8 @@ when data-center agents register (each backed by an energy profile), and
 the client workload as explicit flow-open times or a per-hour rate.  A
 scenario loads into the events it starts with, every name in them already
 resolved to its node, and running it schedules those events as they are.
-Time 0 is midnight of hour 0, and the horizon is at most one profile year.
+Simulated time starts at midnight of hour 0, only runs forward, and never
+passes one profile year, the longest horizon: `idle_deadline` relies on it.
 An agent reports its energy first one `report_period` after its
 registration is acknowledged, so until then the controller scores every
 data center 0.  A scenario asks for at most MAX_EVENTS flows, data
@@ -72,7 +73,6 @@ from .model import (
 )
 
 SECONDS_PER_HOUR = 3600.0
-LAST_TICK = 2**53  # past here whole seconds are no longer exact floats
 MAX_HORIZON = HOURS_PER_YEAR * SECONDS_PER_HOUR  # one profile year
 SCENARIO_KEYS = {"topology", "config", "horizon", "agents", "clients", "switch_connects", "snapshot_times"}
 # the most flows, data packets and energy reports one scenario may ask for:
@@ -82,34 +82,16 @@ MAX_EVENTS = 5_000_000
 
 def idle_deadline(last_hit, timeout, horizon):
     """The first whole second t >= 1 below `horizon` at which
-    `FlowTable.expire` drops a rule last hit at `last_hit`, or inf.
+    `FlowTable.expire`'s own test, `t - last_hit >= timeout`, holds, or inf.
 
-    The test is expire's own float expression, `t - last_hit >= timeout`,
-    which rounding keeps monotone in t, so a bisection finds the first
-    second where it holds; a probe at ceil(last_hit + timeout) and the
-    second beside it settles almost every call before the bisection runs.
+    For 0 <= last_hit < horizon <= MAX_HORIZON (below 2**25), every value
+    that can fall due is below 2**26, so each float error is under 2**-26
+    and the first due second is ceil(last_hit + timeout) or one beside it.
     """
-    lo, hi = 0, math.ceil(min(horizon, LAST_TICK))  # never due at lo; hi is no tick
-    end = hi
-    guess = last_hit + timeout
-    if lo < guess < hi:
-        t = math.ceil(guess)
-        if t - last_hit >= timeout:
-            hi, probe = t, t - 1
-        else:
-            lo, probe = t, t + 1
-        if lo < probe < hi:
-            if probe - last_hit >= timeout:
-                hi = probe
-            else:
-                lo = probe
-    while hi - lo > 1:
-        t = (lo + hi) // 2
-        if t - last_hit >= timeout:
-            hi = t
-        else:
-            lo = t
-    return float(hi) if hi < end else math.inf
+    t = max(1, math.ceil(last_hit + timeout) - 1)
+    t += t - last_hit < timeout
+    t += t - last_hit < timeout
+    return float(t) if t < horizon else math.inf
 
 
 @dataclass
@@ -136,11 +118,10 @@ class FlowTable:
 
     Expired entries are removed before any lookup, each with an `ev=expire`
     line to `emit`, if any.  `oldest` holds, per idle timeout, a lower bound
-    on its rules' last hit: installs and hits lower it where they are
-    earlier, and every scan makes it exact.  Since `now - last_hit` falls as
-    last_hit grows, `expire` scans only when a bound is due, which is exact
-    for calls at any times in any order.  The table is plain data: it holds
-    no reference to a simulation, which arms its expiry ticks."""
+    on its rules' last hit, set by the first install and made exact by each
+    scan: calls come at non-decreasing `now`, so no later install or hit
+    falls below it, and `expire` scans only when a bound is due.  The table
+    holds no reference to a simulation, which arms its expiry ticks."""
 
     def __init__(self, switch=None, emit=None):
         self.switch = switch
@@ -167,9 +148,8 @@ class FlowTable:
         if shape not in shapes:
             self.shapes[mod.priority] = (*shapes, shape)
             self.priorities = tuple(sorted(self.shapes.items(), reverse=True))
-        timeout = mod.idle_timeout
-        if timeout > 0 and now < self.oldest.get(timeout, math.inf):
-            self.oldest[timeout] = now
+        if mod.idle_timeout > 0:
+            self.oldest.setdefault(mod.idle_timeout, now)
 
     def expire(self, now):
         """Drop every rule idle for at least its timeout; returns them."""
@@ -206,9 +186,6 @@ class FlowTable:
                     best = rule
             if best is not None:
                 best.last_hit = now
-                timeout = best.idle_timeout
-                if timeout > 0 and now < self.oldest[timeout]:  # a hit earlier than the bound
-                    self.oldest[timeout] = now
                 return best
         return None
 
@@ -308,15 +285,11 @@ class Simulation:
     def _apply(self, resp, now):
         if not (resp.flow_mods or resp.packets):  # an accepted report, say, or a drop
             return
-        ticks = {}  # idle timeout -> deadline of a rule installed `now`, shared by the response's mods
         for mod in resp.flow_mods:
             i = mod.switch.index
             self.tables[i].install(mod, now)
             if mod.idle_timeout > 0:
-                tick = ticks.get(mod.idle_timeout)
-                if tick is None:
-                    tick = ticks[mod.idle_timeout] = idle_deadline(now, mod.idle_timeout, self.horizon)
-                self._arm(i, tick)
+                self._arm(i, idle_deadline(now, mod.idle_timeout, self.horizon))
         for out in resp.packets:
             if out.port is TABLE:
                 self._switch_rx(now, out.switch, None, out.packet)
@@ -451,6 +424,8 @@ class Simulation:
         instant began, and every FIFO entry after.  No tick falls due
         meanwhile, since an install at `now` arms a deadline after `now`.
         Nothing is scheduled before the instant being handled."""
+        if not horizon <= MAX_HORIZON:
+            raise ValidationError("horizon", f"must be at most one profile year ({MAX_HORIZON:g} s), got {horizon!r}")
         self.horizon = float(horizon)
         for i in range(len(self.tables)):  # rules installed before the run
             self._rearm(i)

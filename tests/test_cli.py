@@ -192,6 +192,19 @@ def test_the_benchmark_tracer_still_counts_what_it_wraps(tmp_path, monkeypatch, 
     assert counts["experiment.run_year.calls"] == 5
 
 
+@pytest.mark.parametrize("seed", [0, 21, 63])
+def test_busy_fabric_traces_match_the_benchmark_reference(tmp_path, monkeypatch, seed):
+    # the benchmark's seeded busy fabric, run as the benchmark runs it
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    import workloads
+
+    workload = workloads.ProtocolBusy(seed)
+    monkeypatch.chdir(tmp_path)
+    workload.prepare(tmp_path)
+    results = [workloads.run_cli(argv) for argv in workload.commands()]
+    assert workload.check(results, workloads.load_reference()) == []
+
+
 def test_a_failed_scenario_leaves_no_trace_file(tmp_path, capsys, monkeypatch):
     # an agent's second report would fall at the instant of its first; by
     # then the run has streamed its connect, discovery and register lines.
@@ -543,7 +556,17 @@ def test_flags_that_must_be_positive_are_refused(tmp_path, capsys, monkeypatch, 
         # each mode refuses the flag its range sweeps, so sweep the other one
         argv = ["sweep", "--mode", "load" if flag == "--k" else "k", "--range", "1:2:1", "--out", "never.csv"]
     assert run_cli(*argv, "--energy-dir", data_path("sites"), flag + "=" + value) == 1
-    assert capsys.readouterr().err == "error: %s: must be > 0\n" % flag
+    problem = "must be within 1..8760" if flag == "--hours" else "must be > 0"
+    assert capsys.readouterr().err == "error: %s: %s\n" % (flag, problem)
+    assert not (tmp_path / "never.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_hours_past_one_profile_year_name_the_flag(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    argv = ["run"] if command == "run" else ["sweep", "--mode", "k", "--range", "1:2:1", "--out", "never.csv"]
+    assert run_cli(*argv, "--energy-dir", data_path("sites"), "--hours", "9000") == 1
+    assert capsys.readouterr().err == "error: --hours: must be within 1..8760\n"
     assert not (tmp_path / "never.csv").exists()
 
 
